@@ -211,11 +211,14 @@ fn time_engine(
                 start.elapsed().as_secs_f64(),
                 outcome.interactions,
                 outcome.switch_interactions,
+                // A fresh (never resumed) run timed every interaction.
                 Some(HybridLegs {
                     dense_interactions: outcome.dense_interactions,
                     dense_seconds: outcome.dense_seconds,
+                    dense_timed_interactions: outcome.dense_interactions,
                     agent_interactions: outcome.agent_interactions,
                     agent_seconds: outcome.agent_seconds,
+                    agent_timed_interactions: outcome.agent_interactions,
                     stint_kind: outcome.stint_kind,
                 }),
             )

@@ -69,11 +69,12 @@ pub struct StagedCountOutcome {
     /// `interactions - dense_interactions`: the phase counters partition the
     /// total exactly (no interaction is counted in both phases at a switch).
     pub agent_interactions: u64,
-    /// Wall-clock seconds spent on the count-based substrate (per-leg
-    /// throughput accounting; 0 for runs that resolved to the sequential
-    /// engine).
+    /// Wall-clock seconds this process spent on the count-based substrate
+    /// (per-leg throughput accounting; 0 for runs that resolved to the
+    /// sequential engine).  A resumed run times only what ran after the
+    /// resume.
     pub dense_seconds: f64,
-    /// Wall-clock seconds spent on per-agent stints.
+    /// Wall-clock seconds this process spent on per-agent stints.
     pub agent_seconds: f64,
     /// Total-interaction counts at which the hybrid engine migrated between
     /// representations (the measured switch points; empty when the run never

@@ -581,10 +581,10 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     }
 
     /// Serialize the engine core into `out` (shared by the top-level
-    /// [`Checkpointable`] impl and the sharded engine's per-shard
-    /// sub-snapshots, which set `include_protocol = false` because all shard
-    /// copies share one protocol whose state the sharded snapshot stores
-    /// once).
+    /// [`Checkpointable`] impl, the sharded engine's per-shard
+    /// sub-snapshots and the hybrid engine's batched substrate; the last two
+    /// set `include_protocol = false`, because the enclosing snapshot stores
+    /// the shared protocol's state once itself).
     ///
     /// Core layout:
     ///

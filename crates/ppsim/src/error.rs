@@ -30,7 +30,7 @@ pub enum SimError {
     SnapshotVersion {
         /// The version found in the header.
         found: u32,
-        /// The newest version this build can read.
+        /// The one version this build reads (and writes).
         supported: u32,
     },
     /// A structurally valid snapshot does not fit the simulator it is being
@@ -68,7 +68,7 @@ impl fmt::Display for SimError {
             SimError::SnapshotVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported snapshot format version {found} (this build reads up to {supported})"
+                    "unsupported snapshot format version {found} (this build reads only version {supported})"
                 )
             }
             SimError::SnapshotMismatch { reason } => {
@@ -114,7 +114,7 @@ mod tests {
             supported: 1,
         };
         assert!(e.to_string().contains("version 9"));
-        assert!(e.to_string().contains("up to 1"));
+        assert!(e.to_string().contains("only version 1"));
         let e = SimError::SnapshotMismatch {
             reason: "population 10 != 20".into(),
         };

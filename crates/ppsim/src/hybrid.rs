@@ -99,7 +99,9 @@ use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::rng::derive_seed;
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
-use crate::snapshot::{Checkpointable, EngineSnapshot, PersistState, ENGINE_HYBRID};
+use crate::snapshot::{
+    Checkpointable, EngineSnapshot, PersistState, SnapshotReader, ENGINE_HYBRID,
+};
 use crate::stint::{BoxedAgentStint, DecodedStint, IndexCodec};
 
 use rand::rngs::SmallRng;
@@ -189,39 +191,51 @@ pub enum SwitchDirection {
 /// [`HybridSimulator::legs`] and
 /// [`DenseSimulator::hybrid_legs`](crate::DenseSimulator::hybrid_legs); the
 /// bench tooling derives its `dense_mips` / `agent_mips` columns from it.
+///
+/// The interaction totals cover the whole run, restored history included.
+/// The seconds cover only what this process timed, so each is paired with
+/// the interactions executed during it, and throughput divides those two.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridLegs {
     /// Interactions executed on the count-based substrate.
     pub dense_interactions: u64,
-    /// Wall-clock seconds spent on the count-based substrate.
+    /// Wall-clock seconds this process spent on the count-based substrate
+    /// (zero right after a restore).
     pub dense_seconds: f64,
+    /// Interactions executed on the count-based substrate during
+    /// [`dense_seconds`](Self::dense_seconds).
+    pub dense_timed_interactions: u64,
     /// Interactions executed on per-agent stints.
     pub agent_interactions: u64,
-    /// Wall-clock seconds spent on per-agent stints.
+    /// Wall-clock seconds this process spent on per-agent stints (zero
+    /// right after a restore).
     pub agent_seconds: f64,
+    /// Interactions executed on per-agent stints during
+    /// [`agent_seconds`](Self::agent_seconds).
+    pub agent_timed_interactions: u64,
     /// The most recent stint's stepping representation (`"decoded"` or
     /// `"interned"`); `None` if the run never left dense mode.
     pub stint_kind: Option<&'static str>,
 }
 
 impl HybridLegs {
-    /// Per-agent-leg throughput in interactions per second (`0.0` when no
-    /// stint ran).
+    /// Per-agent-leg throughput in interactions per second over the time
+    /// this process measured (`0.0` when it timed no stint).
     #[must_use]
     pub fn agent_throughput(&self) -> f64 {
         if self.agent_seconds > 0.0 {
-            self.agent_interactions as f64 / self.agent_seconds
+            self.agent_timed_interactions as f64 / self.agent_seconds
         } else {
             0.0
         }
     }
 
-    /// Dense-leg throughput in interactions per second (`0.0` when the run
-    /// executed no dense leg).
+    /// Dense-leg throughput in interactions per second over the time this
+    /// process measured (`0.0` when it timed no dense leg).
     #[must_use]
     pub fn dense_throughput(&self) -> f64 {
         if self.dense_seconds > 0.0 {
-            self.dense_interactions as f64 / self.dense_seconds
+            self.dense_timed_interactions as f64 / self.dense_seconds
         } else {
             0.0
         }
@@ -375,10 +389,13 @@ pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
     completed: u64,
     dense_total: u64,
     agent_total: u64,
-    /// Wall-clock seconds accumulated in each representation (per-leg
-    /// throughput accounting for the bench tooling).
+    /// Wall-clock seconds this process spent in each representation, and
+    /// the interactions executed during them (per-leg throughput accounting
+    /// for the bench tooling).  Not persisted; zeroed on restore.
     dense_secs: f64,
     agent_secs: f64,
+    dense_timed: u64,
+    agent_timed: u64,
     /// Absolute interaction count of the next occupancy observation.
     next_observation: u64,
     monitor_every: u64,
@@ -459,6 +476,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             agent_total: 0,
             dense_secs: 0.0,
             agent_secs: 0.0,
+            dense_timed: 0,
+            agent_timed: 0,
             next_observation: monitor_every,
             monitor_every,
             switches: Vec::new(),
@@ -558,28 +577,32 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     }
 
     /// Wall-clock seconds this simulator has spent executing on the
-    /// count-based substrate (per-leg throughput accounting).
+    /// count-based substrate since construction or the last restore
+    /// (per-leg throughput accounting).
     #[must_use]
     pub fn dense_seconds(&self) -> f64 {
         self.dense_secs
     }
 
     /// Wall-clock seconds this simulator has spent executing per-agent
-    /// stints.
+    /// stints since construction or the last restore.
     #[must_use]
     pub fn agent_seconds(&self) -> f64 {
         self.agent_secs
     }
 
     /// The per-leg accounting in one struct (interaction counts, wall-clock
-    /// seconds and the stint kind — see [`HybridLegs`]).
+    /// seconds with the interactions they timed, and the stint kind — see
+    /// [`HybridLegs`]).
     #[must_use]
     pub fn legs(&self) -> HybridLegs {
         HybridLegs {
             dense_interactions: self.dense_interactions(),
             dense_seconds: self.dense_secs,
+            dense_timed_interactions: self.dense_timed,
             agent_interactions: self.agent_interactions(),
             agent_seconds: self.agent_secs,
+            agent_timed_interactions: self.agent_timed,
             stint_kind: self.stint_kind,
         }
     }
@@ -959,8 +982,10 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             let elapsed = started.elapsed().as_secs_f64();
             if dense_leg {
                 self.dense_secs += elapsed;
+                self.dense_timed += slice;
             } else {
                 self.agent_secs += elapsed;
+                self.agent_timed += slice;
             }
             if self.interactions() >= self.next_observation {
                 self.observe();
@@ -1059,14 +1084,18 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// switch log     count + (interactions, direction, occupied, discovered?) each
 /// u8             stint-kind tag (0 none / 1 decoded / 2 interned)
 /// Vec<u8>        protocol state (interner contents for dynamic protocols)
-/// u8 + Vec<u8>   mode tag (0 dense / 1 agent) + inner engine/stint bytes
+/// u8 + Vec<u8>   mode tag (0 dense / 1 agent) + inner bytes: in dense mode
+///                the batched or sharded engine core *without* protocol
+///                bytes (the protocol state above is the only copy), in
+///                agent mode the stint
 /// ```
 ///
-/// Wall-clock accounting (`dense_seconds`, `agent_seconds`) is deliberately
-/// **not** persisted — it is the one piece of state that is not a pure
-/// function of the trajectory — and is zeroed on restore.  That exclusion is
-/// what makes snapshot-byte equality a valid trajectory-equality check (the
-/// fault-injection harness relies on it).
+/// Wall-clock accounting (`dense_seconds`, `agent_seconds` and the
+/// interactions timed alongside them) is deliberately **not** persisted — it
+/// is the one piece of state that is not a pure function of the trajectory —
+/// and is zeroed on restore.  That exclusion is what makes snapshot-byte
+/// equality a valid trajectory-equality check (the fault-injection harness
+/// relies on it).
 ///
 /// Configuration fields that shape the trajectory (population, substrate,
 /// thresholds, window, monitor cadence, stint representation) are validated
@@ -1108,22 +1137,22 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         }
         stint_kind_tag(self.stint_kind).persist(&mut payload);
         self.protocol.save_protocol_state().persist(&mut payload);
+        let mut inner = Vec::new();
         match &self.mode {
             Mode::Batched(s) => {
                 MODE_DENSE.persist(&mut payload);
-                s.save_state().payload().to_vec().persist(&mut payload);
+                s.save_core(false, &mut inner);
             }
             Mode::Sharded(s) => {
                 MODE_DENSE.persist(&mut payload);
-                s.save_state().payload().to_vec().persist(&mut payload);
+                s.save_core(false, &mut inner);
             }
             Mode::Agent(s) => {
                 MODE_AGENT.persist(&mut payload);
-                let mut stint = Vec::new();
-                s.save_stint(&mut stint);
-                stint.persist(&mut payload);
+                s.save_stint(&mut inner);
             }
         }
+        inner.persist(&mut payload);
         EngineSnapshot::new(ENGINE_HYBRID, payload)
     }
 
@@ -1226,13 +1255,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         self.protocol.restore_protocol_state(&protocol_bytes)?;
         let mode = match mode_tag {
             MODE_DENSE => {
-                let inner = EngineSnapshot::new(
-                    match self.config.substrate {
-                        HybridSubstrate::Batched => crate::snapshot::ENGINE_BATCHED,
-                        HybridSubstrate::Sharded { .. } => crate::snapshot::ENGINE_SHARDED,
-                    },
-                    mode_bytes,
-                );
                 let mut mode = Self::dense_mode(
                     &self.protocol,
                     self.n as usize,
@@ -1240,11 +1262,13 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                     self.config.substrate,
                     None,
                 )?;
+                let mut core = SnapshotReader::new(&mode_bytes);
                 match &mut mode {
-                    Mode::Batched(s) => s.restore_state(&inner)?,
-                    Mode::Sharded(s) => s.restore_state(&inner)?,
+                    Mode::Batched(s) => s.restore_core(&mut core, false)?,
+                    Mode::Sharded(s) => s.restore_core(&mut core, false)?,
                     Mode::Agent(_) => unreachable!("dense_mode never builds a stint"),
                 }
+                core.finish()?;
                 mode
             }
             MODE_AGENT => {
@@ -1285,9 +1309,12 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         self.completed = completed;
         self.dense_total = dense_total;
         self.agent_total = agent_total;
-        // Wall-clock is not part of the trajectory and was not persisted.
+        // Wall-clock is not part of the trajectory and was not persisted;
+        // the interactions it timed restart with it.
         self.dense_secs = 0.0;
         self.agent_secs = 0.0;
+        self.dense_timed = 0;
+        self.agent_timed = 0;
         self.next_observation = next_observation;
         self.monitor.dense = monitor_dense;
         self.monitor.streak = monitor_streak;
@@ -1555,6 +1582,40 @@ mod tests {
         assert_eq!(
             resumed.save_state().to_bytes(),
             reference.save_state().to_bytes()
+        );
+    }
+
+    #[test]
+    fn leg_throughput_counts_only_what_this_process_timed() {
+        let n = 3_000usize;
+        let mut victim = HybridSimulator::new(Scatter { q: 1 << 14 }, n, 5).unwrap();
+        victim.run(1_009);
+        victim.run(40_013);
+        assert!(!victim.is_dense(), "the restore should land mid-stint");
+        // The target has timed work of its own, which the restore discards.
+        let mut resumed = HybridSimulator::new(Scatter { q: 1 << 14 }, n, 5).unwrap();
+        resumed.run(137);
+        resumed.restore_state(&victim.save_state()).unwrap();
+
+        // The restored totals cover the whole run, but no second of it was
+        // timed here, so neither leg reports a throughput yet.
+        let legs = resumed.legs();
+        assert_eq!(legs.dense_interactions + legs.agent_interactions, 41_022);
+        assert_eq!(legs.dense_timed_interactions, 0);
+        assert_eq!(legs.agent_timed_interactions, 0);
+        assert_eq!(legs.dense_throughput(), 0.0);
+        assert_eq!(legs.agent_throughput(), 0.0);
+
+        let k = 25_057;
+        resumed.run(k);
+        let legs = resumed.legs();
+        assert_eq!(
+            legs.dense_timed_interactions + legs.agent_timed_interactions,
+            k
+        );
+        assert_eq!(
+            legs.dense_interactions + legs.agent_interactions,
+            41_022 + k
         );
     }
 

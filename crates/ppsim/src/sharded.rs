@@ -111,7 +111,8 @@ use crate::parallel::run_chunked;
 use crate::rng::{derive_seed, seeded_rng};
 use crate::sample::{conditional_class_draw, multinomial, multivariate_hypergeometric_sparse};
 use crate::snapshot::{
-    persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, ENGINE_SHARDED,
+    persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, SnapshotReader,
+    ENGINE_SHARDED,
 };
 
 /// Configuration of a [`ShardedBatchedSimulator`].
@@ -797,44 +798,24 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     pub fn into_counts(self) -> Vec<u64> {
         self.counts
     }
-}
 
-/// Checkpointing for the sharded engine.
-///
-/// Payload layout (engine tag
-/// [`ENGINE_SHARDED`]):
-///
-/// ```text
-/// u64              population n
-/// u64              state-space size q
-/// u64              shard count S
-/// u64              epoch window length W
-/// [u64; 4]         master RNG state
-/// u64              total interactions executed
-/// Vec<u8>          protocol state (stored once: all shard copies share it)
-/// S × shard core   per-shard BatchedSimulator cores, without protocol bytes
-/// Vec<(u32, u64)>  aggregate (state, count) in occupied-list order —
-///                  rebalancing iterates this exact order, so it is stored
-///                  verbatim rather than re-derived from the shards
-/// ```
-///
-/// There is no persistent mid-epoch state: epochs are carved out of each
-/// `run` call's budget, so a snapshot taken between `run` calls sits at an
-/// epoch-window boundary of the *budget schedule*, wherever that lands
-/// relative to the `W` grid.  `S` and `W` are validated on restore (they
-/// shape the trajectory); the thread budget is not (it never does).
-impl<P: DenseProtocol + Clone + Send> Checkpointable for ShardedBatchedSimulator<P> {
-    fn save_state(&self) -> EngineSnapshot {
-        let mut payload = Vec::new();
-        self.n.persist(&mut payload);
-        self.q.persist(&mut payload);
-        self.shards.len().persist(&mut payload);
-        self.epoch_cap.persist(&mut payload);
-        persist_rng(&self.rng, &mut payload);
-        self.interactions.persist(&mut payload);
-        self.protocol.save_protocol_state().persist(&mut payload);
+    /// Serialize the engine core into `out` (shared by the top-level
+    /// [`Checkpointable`] impl and the hybrid engine's sharded substrate,
+    /// which sets `include_protocol = false` because the hybrid snapshot
+    /// stores the protocol's state once itself).  The layout is documented
+    /// on the [`Checkpointable`] impl.
+    pub(crate) fn save_core(&self, include_protocol: bool, out: &mut Vec<u8>) {
+        self.n.persist(out);
+        self.q.persist(out);
+        self.shards.len().persist(out);
+        self.epoch_cap.persist(out);
+        persist_rng(&self.rng, out);
+        self.interactions.persist(out);
+        if include_protocol {
+            self.protocol.save_protocol_state().persist(out);
+        }
         for shard in &self.shards {
-            shard.save_core(false, &mut payload);
+            shard.save_core(false, out);
         }
         let occ: Vec<(u32, u64)> = self
             .occupied
@@ -842,20 +823,27 @@ impl<P: DenseProtocol + Clone + Send> Checkpointable for ShardedBatchedSimulator
             .iter()
             .map(|&st| (st, self.counts[st as usize]))
             .collect();
-        occ.persist(&mut payload);
-        EngineSnapshot::new(ENGINE_SHARDED, payload)
+        occ.persist(out);
     }
 
-    fn restore_state(&mut self, snapshot: &EngineSnapshot) -> Result<(), SimError> {
-        snapshot.expect_engine(ENGINE_SHARDED, "the sharded engine")?;
-        let mut r = snapshot.reader();
+    /// Restore a core written by [`Self::save_core`], rebuilding the
+    /// δ-table against the (restored) protocol state.
+    pub(crate) fn restore_core(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        restore_protocol: bool,
+    ) -> Result<(), SimError> {
         let n = r.read::<u64>()?;
         let q = r.read::<usize>()?;
         let s = r.read::<usize>()?;
         let epoch_cap = r.read::<u64>()?;
-        let rng = unpersist_rng(&mut r)?;
+        let rng = unpersist_rng(r)?;
         let interactions = r.read::<u64>()?;
-        let protocol_bytes = r.read::<Vec<u8>>()?;
+        let protocol_bytes = if restore_protocol {
+            Some(r.read::<Vec<u8>>()?)
+        } else {
+            None
+        };
         if n != self.n {
             return Err(SimError::SnapshotMismatch {
                 reason: format!("snapshot population {n} != simulator population {}", self.n),
@@ -889,12 +877,13 @@ impl<P: DenseProtocol + Clone + Send> Checkpointable for ShardedBatchedSimulator
         }
         // Protocol state first: the shard cores rebuild their δ-tables
         // against the restored interner contents.
-        self.protocol.restore_protocol_state(&protocol_bytes)?;
+        if let Some(protocol_bytes) = protocol_bytes {
+            self.protocol.restore_protocol_state(&protocol_bytes)?;
+        }
         for shard in &mut self.shards {
-            shard.restore_core(&mut r, false)?;
+            shard.restore_core(r, false)?;
         }
         let occ = r.read::<Vec<(u32, u64)>>()?;
-        r.finish()?;
         let total: u64 = occ.iter().map(|&(_, c)| c).sum();
         if total != n {
             return Err(SimError::SnapshotCorrupt {
@@ -913,6 +902,46 @@ impl<P: DenseProtocol + Clone + Send> Checkpointable for ShardedBatchedSimulator
         self.interactions = interactions;
         self.delta = DeltaTable::new(&self.protocol)?;
         Ok(())
+    }
+}
+
+/// Checkpointing for the sharded engine.
+///
+/// Payload layout (engine tag
+/// [`ENGINE_SHARDED`]):
+///
+/// ```text
+/// u64              population n
+/// u64              state-space size q
+/// u64              shard count S
+/// u64              epoch window length W
+/// [u64; 4]         master RNG state
+/// u64              total interactions executed
+/// Vec<u8>          protocol state (stored once: all shard copies share it;
+///                  absent when the hybrid engine stores this core)
+/// S × shard core   per-shard BatchedSimulator cores, without protocol bytes
+/// Vec<(u32, u64)>  aggregate (state, count) in occupied-list order —
+///                  rebalancing iterates this exact order, so it is stored
+///                  verbatim rather than re-derived from the shards
+/// ```
+///
+/// There is no persistent mid-epoch state: epochs are carved out of each
+/// `run` call's budget, so a snapshot taken between `run` calls sits at an
+/// epoch-window boundary of the *budget schedule*, wherever that lands
+/// relative to the `W` grid.  `S` and `W` are validated on restore (they
+/// shape the trajectory); the thread budget is not (it never does).
+impl<P: DenseProtocol + Clone + Send> Checkpointable for ShardedBatchedSimulator<P> {
+    fn save_state(&self) -> EngineSnapshot {
+        let mut payload = Vec::new();
+        self.save_core(true, &mut payload);
+        EngineSnapshot::new(ENGINE_SHARDED, payload)
+    }
+
+    fn restore_state(&mut self, snapshot: &EngineSnapshot) -> Result<(), SimError> {
+        snapshot.expect_engine(ENGINE_SHARDED, "the sharded engine")?;
+        let mut r = snapshot.reader();
+        self.restore_core(&mut r, true)?;
+        r.finish()
     }
 }
 

@@ -24,14 +24,14 @@
 //! seconds) is also excluded — so snapshot bytes are a pure function of the
 //! trajectory and byte equality is a valid trajectory-equality check.
 //!
-//! # Format layout (version 1)
+//! # Format layout (version 2)
 //!
 //! All integers are little-endian; there is no padding.
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"PPSS"
-//! 4       4     u32    format version (currently 1)
+//! 4       4     u32    format version (currently 2)
 //! 8       1     u8     engine tag (see the ENGINE_* constants)
 //! 9       8     u64    payload length L
 //! 17      L     [u8]   payload (engine-specific, see each engine's docs)
@@ -41,15 +41,23 @@
 //! Payloads are built from the primitive codec of [`PersistState`]: fixed
 //! little-endian integers, `bool` as one byte, `f64` as its IEEE-754 bit
 //! pattern, and `Vec<T>` as a `u64` length prefix followed by the elements.
+//! A `Vec<u8>` (a nested payload) is copied in and out whole; the bytes are
+//! the same as element by element.
 //! Nothing in a payload is positional beyond this — every engine reads its
 //! payload back with a [`SnapshotReader`] and rejects trailing garbage.
+//!
+//! A dynamic protocol's state (its interner) appears once per snapshot:
+//! engines built from other engines (sharded over its shards, hybrid over
+//! its batched or sharded substrate) store it at their own level and persist
+//! the inner engine cores without it.
 //!
 //! # Versioning policy
 //!
 //! The version number covers the whole format: header *and* every engine
 //! payload layout.  Any change to any engine's payload bumps
-//! [`SNAPSHOT_VERSION`]; readers reject snapshots with a newer version
-//! ([`SimError::SnapshotVersion`]) rather than guessing.  Golden-file tests
+//! [`SNAPSHOT_VERSION`].  A reader accepts only its own version: a snapshot
+//! of any other version, older or newer, is refused with
+//! [`SimError::SnapshotVersion`] rather than guessed at.  Golden-file tests
 //! pin the byte layout so an accidental change fails loudly instead of
 //! silently orphaning old checkpoints.
 //!
@@ -72,8 +80,8 @@ use crate::error::SimError;
 /// The four magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPSS";
 
-/// The format version this build writes (and the newest it reads).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The format version this build writes, and the only one it reads.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Engine tag: [`crate::Simulator`] (per-agent sequential).
 pub const ENGINE_SEQUENTIAL: u8 = 1;
@@ -98,21 +106,37 @@ pub const ENGINE_COMPOSITE_BASE: u8 = 0x10;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over `bytes`.
 ///
-/// Small, table-driven, and dependency-free; this is the checksum in every
-/// snapshot trailer.
+/// Slicing-by-8 and dependency-free: eight lookup tables fold eight input
+/// bytes per step, and a byte-at-a-time loop finishes the tail.  This is the
+/// checksum in every snapshot trailer.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    let t = &CRC32_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        let idx = (crc ^ u32::from(b)) & 0xFF;
-        crc = (crc >> 8) ^ TABLE[idx as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let [a, b, c, d] = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        crc = t[7][usize::from(a)]
+            ^ t[6][usize::from(b)]
+            ^ t[5][usize::from(c)]
+            ^ t[4][usize::from(d)]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ b)];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[k][i]` advances the CRC register over byte `i` followed by
+/// `k` zero bytes; row 0 is the classic byte-at-a-time table.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -125,10 +149,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// A cursor over a snapshot payload, yielding typed fields and rejecting
@@ -214,6 +248,50 @@ pub trait PersistState: Sized {
     ///
     /// [`SimError::SnapshotCorrupt`] on truncation or an invalid encoding.
     fn unpersist(r: &mut SnapshotReader<'_>) -> Result<Self, SimError>;
+
+    /// Append the encodings of `items`, back to back, to `out`: the body of
+    /// a `Vec<Self>` after its length prefix.
+    ///
+    /// The default persists the items one by one.  An override must write
+    /// exactly the same bytes, only faster (`u8` copies the slice whole).
+    fn persist_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.persist(out);
+        }
+    }
+
+    /// Decode `len` values written by [`persist_slice`](Self::persist_slice).
+    ///
+    /// The default decodes them one by one; `u8` takes all `len` bytes in a
+    /// single [`SnapshotReader::take`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SnapshotCorrupt`] on truncation or an invalid encoding.
+    fn unpersist_vec(len: usize, r: &mut SnapshotReader<'_>) -> Result<Vec<Self>, SimError> {
+        // Every encoding is at least one byte, so the remaining payload
+        // bounds how many values can follow.
+        let mut items = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            items.push(Self::unpersist(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl PersistState for u8 {
+    fn persist(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn unpersist(r: &mut SnapshotReader<'_>) -> Result<Self, SimError> {
+        Ok(r.take(1)?[0])
+    }
+    fn persist_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn unpersist_vec(len: usize, r: &mut SnapshotReader<'_>) -> Result<Vec<u8>, SimError> {
+        Ok(r.take(len)?.to_vec())
+    }
 }
 
 macro_rules! persist_int {
@@ -231,7 +309,7 @@ macro_rules! persist_int {
     )*};
 }
 
-persist_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64);
+persist_int!(u16, u32, u64, u128, i8, i16, i32, i64);
 
 impl PersistState for usize {
     fn persist(&self, out: &mut Vec<u8>) {
@@ -293,9 +371,7 @@ impl<A: PersistState, B: PersistState, C: PersistState> PersistState for (A, B, 
 impl<T: PersistState> PersistState for Vec<T> {
     fn persist(&self, out: &mut Vec<u8>) {
         (self.len() as u64).persist(out);
-        for item in self {
-            item.persist(out);
-        }
+        T::persist_slice(self, out);
     }
     fn unpersist(r: &mut SnapshotReader<'_>) -> Result<Self, SimError> {
         let len = usize::unpersist(r)?;
@@ -309,11 +385,7 @@ impl<T: PersistState> PersistState for Vec<T> {
                 ),
             });
         }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(T::unpersist(r)?);
-        }
-        Ok(items)
+        T::unpersist_vec(len, r)
     }
 }
 
@@ -455,7 +527,8 @@ impl EngineSnapshot {
     ///
     /// [`SimError::SnapshotCorrupt`] on truncation, bad magic, a length
     /// field disagreeing with the stream, trailing bytes, or a CRC
-    /// mismatch; [`SimError::SnapshotVersion`] for a newer format version.
+    /// mismatch; [`SimError::SnapshotVersion`] for any format version other
+    /// than [`SNAPSHOT_VERSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
         let mut r = SnapshotReader::new(bytes);
         let magic = r.take(4)?;
@@ -465,7 +538,7 @@ impl EngineSnapshot {
             });
         }
         let version = r.read::<u32>()?;
-        if version == 0 || version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(SimError::SnapshotVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
@@ -582,11 +655,100 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// The CRC-32 register advanced one bit at a time, one byte at a time:
+    /// the definition the sliced tables must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        let mut rng = crate::rng::seeded_rng(32);
+        let buf: Vec<u8> = (0..72).map(|_| rng.gen()).collect();
+        // Offsets 0..8 put the 8-byte steps at every alignment; lengths up
+        // to 64 cover empty input, tails alone, and several whole steps.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn byte_vectors_encode_exactly_as_element_by_element() {
+        let v: Vec<u8> = vec![0x00, 0x7F, 0x80, 0xFF, 0x01];
+        let mut bulk = Vec::new();
+        v.persist(&mut bulk);
+        let mut each = Vec::new();
+        (v.len() as u64).persist(&mut each);
+        for b in &v {
+            b.persist(&mut each);
+        }
+        assert_eq!(bulk, each);
+        assert_eq!(hex(&bulk), "0500000000000000007f80ff01");
+        // A nested payload decodes back whole, leaving the cursor after it.
+        let nested = vec![v.clone(), Vec::new()];
+        let mut out = Vec::new();
+        nested.persist(&mut out);
+        7u8.persist(&mut out);
+        let mut r = SnapshotReader::new(&out);
+        assert_eq!(r.read::<Vec<Vec<u8>>>().unwrap(), nested);
+        assert_eq!(r.read::<u8>().unwrap(), 7);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn oversized_length_prefixes_are_refused_before_allocating() {
+        // One byte short of the declared length: refused by the prefix check,
+        // not by a truncated read after the vector was allocated.
+        let mut out = Vec::new();
+        4u64.persist(&mut out);
+        out.extend_from_slice(&[1, 2, 3]);
+        let err = SnapshotReader::new(&out).read::<Vec<u8>>().unwrap_err();
+        assert!(matches!(err, SimError::SnapshotCorrupt { ref reason }
+            if reason.contains("vector length 4 exceeds 3")));
+        // A prefix no allocation could satisfy is refused the same way (an
+        // attempted allocation would abort the test process instead).
+        for huge in [u64::MAX, 1 << 62] {
+            let mut out = Vec::new();
+            huge.persist(&mut out);
+            out.push(0);
+            assert!(matches!(
+                SnapshotReader::new(&out).read::<Vec<u64>>(),
+                Err(SimError::SnapshotCorrupt { .. })
+            ));
+            assert!(matches!(
+                SnapshotReader::new(&out).read::<Vec<u8>>(),
+                Err(SimError::SnapshotCorrupt { .. })
+            ));
+        }
     }
 
     #[test]
@@ -695,13 +857,15 @@ mod tests {
             Err(SimError::SnapshotCorrupt { .. })
         ));
 
-        let mut future = good.clone();
-        future[4..8].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            EngineSnapshot::from_bytes(&future),
-            Err(SimError::SnapshotVersion { found, supported })
-                if found == SNAPSHOT_VERSION + 1 && supported == SNAPSHOT_VERSION
-        ));
+        for other in [0, SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let mut skewed = good.clone();
+            skewed[4..8].copy_from_slice(&other.to_le_bytes());
+            assert!(matches!(
+                EngineSnapshot::from_bytes(&skewed),
+                Err(SimError::SnapshotVersion { found, supported })
+                    if found == other && supported == SNAPSHOT_VERSION
+            ));
+        }
 
         let mut flipped = good.clone();
         let mid = 17 + 16;

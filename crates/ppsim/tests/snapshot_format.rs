@@ -1,14 +1,15 @@
-//! Golden-file tests pinning the `ppsim::snapshot` binary format (v1).
+//! Golden-file tests pinning the `ppsim::snapshot` binary format (v2).
 //!
 //! These bytes are a compatibility contract: checkpoints written by one
 //! build must restore in the next.  If a change here is intentional, bump
-//! [`SNAPSHOT_VERSION`] and teach `EngineSnapshot::from_bytes` to migrate
-//! (or reject) the old version — never silently repin the golden bytes.
+//! [`SNAPSHOT_VERSION`] with it (`EngineSnapshot::from_bytes` refuses every
+//! version but its own) — never silently repin the golden bytes.
 
+use popcount::{CountExactParams, DenseCountExact};
 use ppsim::snapshot::{crc32, ENGINE_BATCHED, ENGINE_SEQUENTIAL, SNAPSHOT_MAGIC};
 use ppsim::{
-    BatchedSimulator, Checkpointable, DenseProtocol, EngineSnapshot, Protocol, SimError, Simulator,
-    SNAPSHOT_VERSION,
+    BatchedSimulator, Checkpointable, DenseProtocol, EngineSnapshot, HybridConfig, HybridSimulator,
+    HybridSubstrate, Protocol, SimError, Simulator, SNAPSHOT_VERSION,
 };
 use rand::rngs::SmallRng;
 
@@ -61,7 +62,7 @@ fn golden_batched_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "505053530100000002540000000000000004000000000000000200000000000000\
+        "505053530200000002540000000000000004000000000000000200000000000000\
          c3dd56fdc1235e8d08856fa2f7082263d0f294247e8601088c51c766153e44b3\
          070000000000000000000000000000000100000000000000010000000400000000000000401433f7"
     );
@@ -75,7 +76,7 @@ fn golden_sequential_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "50505353010000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
+        "50505353020000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
          8a485b8924b6737ea2782fa36be47f9905000000000000000300000000000000010000703754fb"
     );
 }
@@ -135,20 +136,77 @@ fn truncations_are_rejected() {
     }
 }
 
+/// A well-formed frame carrying `version` in its header, with the payload
+/// CRC recomputed so that only the version can be wrong.
+fn frame_with_version(version: u32) -> Vec<u8> {
+    let mut bytes = EngineSnapshot::new(ENGINE_BATCHED, vec![7; 8]).to_bytes();
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    let crc_at = bytes.len() - 4;
+    let crc = crc32(&bytes[17..crc_at]).to_le_bytes();
+    bytes[crc_at..].copy_from_slice(&crc);
+    bytes
+}
+
 /// A frame from a future format version is refused up front (with a
 /// version-mismatch error, not a CRC or decode failure downstream).
 #[test]
 fn future_versions_are_refused() {
-    let mut bytes = EngineSnapshot::new(ENGINE_BATCHED, vec![7; 8]).to_bytes();
-    let future = (SNAPSHOT_VERSION + 1).to_le_bytes();
-    bytes[4..8].copy_from_slice(&future);
-    let crc_at = bytes.len() - 4;
-    let crc = crc32(&bytes[..crc_at]).to_le_bytes();
-    bytes[crc_at..].copy_from_slice(&crc);
-    match EngineSnapshot::from_bytes(&bytes) {
+    match EngineSnapshot::from_bytes(&frame_with_version(SNAPSHOT_VERSION + 1)) {
         Err(SimError::SnapshotVersion { found, .. }) => {
             assert_eq!(found, SNAPSHOT_VERSION + 1);
         }
         other => panic!("expected a version mismatch, got {other:?}"),
+    }
+}
+
+/// A frame from an earlier format version is refused the same way: a
+/// reader accepts only its own version, so a v1 checkpoint (whose hybrid
+/// payload held the interner twice) never reaches a v2 decoder.
+#[test]
+fn past_versions_are_refused() {
+    match EngineSnapshot::from_bytes(&frame_with_version(1)) {
+        Err(SimError::SnapshotVersion {
+            found: 1,
+            supported,
+        }) => assert_eq!(supported, SNAPSHOT_VERSION),
+        other => panic!("expected a version mismatch, got {other:?}"),
+    }
+}
+
+/// A dense-mode hybrid snapshot of an interned protocol stores the
+/// protocol's state (its interner) once on either substrate: the inner
+/// batched or sharded core goes in without protocol bytes, so the whole
+/// payload stays below two copies of the interner.
+#[test]
+fn dense_hybrid_snapshots_carry_the_interner_once() {
+    let n = 1_000;
+    for substrate in [
+        HybridSubstrate::Batched,
+        HybridSubstrate::Sharded {
+            shards: 2,
+            threads: 1,
+        },
+    ] {
+        let proto = DenseCountExact::with_capacity(
+            CountExactParams::dense_at_scale(n),
+            CountExactParams::dense_capacity(n),
+        );
+        let config = HybridConfig {
+            substrate,
+            ..HybridConfig::default()
+        };
+        let mut sim = HybridSimulator::with_config(proto.clone(), n, 3, config).unwrap();
+        // Twenty probes of n interactions: past the early per-agent
+        // transient of the leader election and back on the dense substrate.
+        for _ in 0..20 {
+            sim.run(n as u64);
+        }
+        assert!(sim.is_dense(), "{substrate:?}: the run must be dense again");
+        let interner = proto.save_protocol_state().len();
+        let payload = sim.save_state().payload().len();
+        assert!(
+            interner < payload && payload < 2 * interner,
+            "{substrate:?}: payload {payload} B against {interner} B of protocol state"
+        );
     }
 }
