@@ -2,7 +2,7 @@
 //! wall-clock at growing population sizes and shard counts.
 //!
 //! The protocols are the *same transition system* (the dense epidemic run via
-//! `DenseAdapter` on the sequential engine), so differences are pure engine
+//! `IndexCodec` on the sequential engine), so differences are pure engine
 //! overhead — for the hybrid engine, the cost of its occupancy monitor on a
 //! workload that never migrates.  `bench_batched_json` (a `ppbench` binary)
 //! emits the same comparisons as machine-readable `BENCH_batched.json` /
@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use popcount::{ApproximateParams, CountExactParams, DenseApproximate, DenseCountExact};
 use ppproto::DenseEpidemic;
 use ppsim::{
-    BatchedSimulator, DenseAdapter, HybridSimulator, ShardedBatchedSimulator, ShardedConfig,
+    BatchedSimulator, HybridSimulator, IndexCodec, ShardedBatchedSimulator, ShardedConfig,
     Simulator,
 };
 
@@ -24,7 +24,7 @@ fn epidemic_batched(n: usize, seed: u64) -> u64 {
 }
 
 fn epidemic_sequential(n: usize, seed: u64) -> u64 {
-    let mut sim = Simulator::new(DenseAdapter(DenseEpidemic), n, seed).unwrap();
+    let mut sim = Simulator::new(IndexCodec(DenseEpidemic), n, seed).unwrap();
     sim.states_mut()[0] = 1;
     sim.run_until(
         |s| s.states().iter().all(|&x| x == 1),

@@ -23,7 +23,7 @@ use ppproto::composition::{
 };
 use ppproto::leader_election::{LeaderElection, LeaderState};
 use ppproto::phase_clock::SyncState;
-use ppsim::stint::{AgentCodec, BoxedAgentStint};
+use ppsim::stint::{AgentCodec, BoxedAgentStint, StintSource};
 use ppsim::{DenseProtocol, PersistState, Protocol, SnapshotReader};
 
 use crate::params::ApproximateParams;
@@ -548,11 +548,14 @@ impl DenseProtocol for DenseApproximate {
         Some(self.states_discovered())
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<Option<i32>>> {
+    fn agent_stint(
+        &self,
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<Option<i32>>, ppsim::SimError>> {
         // Per-agent stints step native `SyncedAgent<ApproximateCore>` structs
         // through the composition's codec — no interner probe per
         // interaction (see `ppsim::stint`).
-        self.inner.agent_stint(counts, seed)
+        self.inner.agent_stint(source)
     }
 
     fn save_protocol_state(&self) -> Vec<u8> {
@@ -561,13 +564,6 @@ impl DenseProtocol for DenseApproximate {
 
     fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), ppsim::SimError> {
         self.inner.restore_protocol_state(bytes)
-    }
-
-    fn restore_agent_stint(
-        &self,
-        bytes: &[u8],
-    ) -> Option<Result<BoxedAgentStint<Option<i32>>, ppsim::SimError>> {
-        self.inner.restore_agent_stint(bytes)
     }
 }
 

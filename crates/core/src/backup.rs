@@ -401,17 +401,13 @@ impl ppsim::DenseProtocol for DenseApproximateBackup {
         Some(no_merges && k_max.is_none_or(|m| m >= top_held))
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<ppsim::stint::BoxedAgentStint<i32>> {
-        Some(ppsim::stint::DecodedStint::boxed(*self, counts, seed))
-    }
-
-    fn restore_agent_stint(
+    fn agent_stint(
         &self,
-        bytes: &[u8],
+        source: ppsim::stint::StintSource<'_>,
     ) -> Option<Result<ppsim::stint::BoxedAgentStint<i32>, SimError>> {
         // No interner here, so the default (empty) protocol-state hooks
-        // apply; only the stint itself needs restoring.
-        Some(ppsim::stint::DecodedStint::restore_boxed(*self, bytes))
+        // apply; a saved stint restores from its own bytes alone.
+        Some(ppsim::stint::DecodedStint::boxed(*self, source))
     }
 }
 
@@ -590,9 +586,14 @@ mod tests {
             c[DenseProtocol::initial_state(&d)] = 600;
             c
         };
+        let source = ppsim::stint::StintSource::Counts {
+            counts: &counts,
+            seed: 3,
+        };
         let mut stint = d
-            .agent_stint(&counts, 3)
-            .expect("the dense backup counter carries a codec");
+            .agent_stint(source)
+            .expect("the dense backup counter carries a codec")
+            .unwrap();
         assert_eq!(stint.kind(), "decoded");
         stint.run(20_000);
         let tallied = stint.counts();

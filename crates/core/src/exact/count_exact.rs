@@ -17,7 +17,7 @@ use ppproto::composition::{
 };
 use ppproto::fast_leader_election::{FastLeaderElection, FastLeaderState};
 use ppproto::phase_clock::SyncState;
-use ppsim::stint::{AgentCodec, BoxedAgentStint};
+use ppsim::stint::{AgentCodec, BoxedAgentStint, StintSource};
 use ppsim::{DenseProtocol, PersistState, Protocol, SnapshotReader};
 
 use crate::params::CountExactParams;
@@ -515,12 +515,15 @@ impl DenseProtocol for DenseCountExact {
         Some(self.states_discovered())
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<Option<u64>>> {
+    fn agent_stint(
+        &self,
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<Option<u64>>, ppsim::SimError>> {
         // The refinement stage runs here: native `SyncedAgent<CountExactCore>`
         // structs stepped by the monomorphic composed transition, interner
         // traffic confined to the migration boundaries (see `ppsim::stint`) —
         // the Θ(n) transient loads of Lemma 11 never flood the index space.
-        self.inner.agent_stint(counts, seed)
+        self.inner.agent_stint(source)
     }
 
     fn save_protocol_state(&self) -> Vec<u8> {
@@ -529,13 +532,6 @@ impl DenseProtocol for DenseCountExact {
 
     fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), ppsim::SimError> {
         self.inner.restore_protocol_state(bytes)
-    }
-
-    fn restore_agent_stint(
-        &self,
-        bytes: &[u8],
-    ) -> Option<Result<BoxedAgentStint<Option<u64>>, ppsim::SimError>> {
-        self.inner.restore_agent_stint(bytes)
     }
 }
 

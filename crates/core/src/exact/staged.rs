@@ -34,11 +34,11 @@
 //! verbatim; only the schedule's randomness source changes, exactly as it
 //! does between the batched and sequential engines in the equivalence suite.
 //!
-//! Since the agent-state codec landed ([`ppsim::stint`]), the per-agent leg
-//! steps **native structs** — `DenseCountExact` hands the hybrid engine a
-//! decoded stint, so the refinement loop carries no interner traffic at all
-//! (the PR 4 interned stint cost a measured ~40 % of that leg at `n = 10⁵`).
-//! [`StintMode::Interned`] keeps the old stepping path measurable.
+//! The per-agent leg steps **native structs**: `DenseCountExact` hands the
+//! hybrid engine a decoded stint through its agent-state codec
+//! ([`ppsim::stint`]), so the refinement loop carries no interner traffic at
+//! all (a stint over interned indices cost a measured ~40 % of that leg at
+//! `n = 10⁵`, 3.15 against 6.97 M interactions/s).
 
 use std::path::{Path, PathBuf};
 
@@ -84,31 +84,16 @@ pub struct StagedCountOutcome {
     /// on the per-agent engine with struct states).  Decoded stints intern
     /// only at migration boundaries, so this census covers the dense legs
     /// plus each boundary configuration — far below the `Θ(n)` transient
-    /// states the refinement mints (which the interned-stint baseline pushes
-    /// through the interner one by one).
+    /// states the refinement mints.
     pub states_discovered: usize,
     /// The per-agent stepping representation the hybrid engine used
-    /// (`Some("decoded")` with the codec, `Some("interned")` under
-    /// [`StintMode::Interned`], `None` if no stint ran).
+    /// (`Some("decoded")` through the protocol's codec, `None` if no stint
+    /// ran).
     pub stint_kind: Option<&'static str>,
     /// The unanimous output, if the run converged (`Some(n)` when correct).
     pub output: Option<u64>,
     /// Whether a unanimous output was reached within the budget.
     pub converged: bool,
-}
-
-/// Which representation the hybrid engine's per-agent stints step (the
-/// decoded-vs-interned comparison lever of experiment E20 and
-/// `bench_batched_json --interned-stints`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StintMode {
-    /// Native structs through the protocol's agent-state codec — the fast
-    /// path, no interner traffic per interaction.
-    #[default]
-    Decoded,
-    /// Interned `u32` indices through `DenseProtocol::transition` — the PR 4
-    /// behaviour, kept measurable as the comparison baseline.
-    Interned,
 }
 
 /// Run `CountExact` to a unanimous output at population scale on the hybrid
@@ -157,27 +142,7 @@ pub fn count_exact_dense_staged(
     engine: Engine,
     budget: u64,
 ) -> Result<StagedCountOutcome, SimError> {
-    count_exact_dense_staged_with(params, n, seed, engine, budget, StintMode::Decoded)
-}
-
-/// [`count_exact_dense_staged`] with an explicit per-agent stepping mode:
-/// [`StintMode::Interned`] pins the PR 4 interned-index stint as the
-/// comparison baseline (experiment E20's decoded-vs-interned column and the
-/// bench tooling's `--interned-stints` flag run through here).
-///
-/// # Errors
-///
-/// Propagates the engine constructors' errors
-/// ([`SimError::PopulationTooSmall`], [`SimError::InvalidParameter`]).
-pub fn count_exact_dense_staged_with(
-    params: CountExactParams,
-    n: usize,
-    seed: u64,
-    engine: Engine,
-    budget: u64,
-    stints: StintMode,
-) -> Result<StagedCountOutcome, SimError> {
-    count_exact_dense_staged_checkpointed(params, n, seed, engine, budget, stints, None, None)
+    count_exact_dense_staged_checkpointed(params, n, seed, engine, budget, None, None)
 }
 
 /// Autosave policy for [`count_exact_dense_staged_checkpointed`]: write an
@@ -193,7 +158,7 @@ pub struct StagedCheckpoint {
     pub every: u64,
 }
 
-/// [`count_exact_dense_staged_with`] plus crash recovery: optional periodic
+/// [`count_exact_dense_staged`] plus crash recovery: optional periodic
 /// autosaves and an optional snapshot to resume from.
 ///
 /// Determinism: `run_until` chunks its work at **absolute** interaction
@@ -205,7 +170,7 @@ pub struct StagedCheckpoint {
 ///
 /// The snapshot is a composite frame (tag [`ENGINE_STAGED`]) wrapping the
 /// inner engine snapshot with the run parameters that shape the trajectory
-/// (`params`, `n`, `seed`, stint mode, engine kind); `resume` fails with
+/// (`params`, `n`, `seed`, engine kind); `resume` fails with
 /// [`SimError::SnapshotMismatch`] when those disagree with the arguments.
 ///
 /// # Errors
@@ -213,21 +178,19 @@ pub struct StagedCheckpoint {
 /// Propagates the engine constructors' errors, snapshot decode/IO errors
 /// from `resume`, and the first autosave write failure (a long run silently
 /// losing its checkpoints would defeat the point).
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub fn count_exact_dense_staged_checkpointed(
     params: CountExactParams,
     n: usize,
     seed: u64,
     engine: Engine,
     budget: u64,
-    stints: StintMode,
     autosave: Option<&StagedCheckpoint>,
     resume: Option<&Path>,
 ) -> Result<StagedCountOutcome, SimError> {
     let check_every = (n as u64).max(1) * 20;
 
     let resumed = match resume {
-        Some(path) => Some(read_staged_snapshot(path, &params, n, seed, stints)?),
+        Some(path) => Some(read_staged_snapshot(path, &params, n, seed)?),
         None => None,
     };
 
@@ -243,15 +206,8 @@ pub fn count_exact_dense_staged_checkpointed(
             let mut saver = Autosaver::new(autosave, sim.interactions());
             let outcome = sim.run_until(
                 |s| {
-                    saver.observe(
-                        s,
-                        s.interactions(),
-                        &params,
-                        n,
-                        seed,
-                        stints,
-                        KIND_SEQUENTIAL,
-                    ) || s.output_stats().unanimous().is_some_and(|o| o.is_some())
+                    saver.observe(s, s.interactions(), &params, n, seed, KIND_SEQUENTIAL)
+                        || s.output_stats().unanimous().is_some_and(|o| o.is_some())
                 },
                 check_every,
                 budget,
@@ -276,10 +232,6 @@ pub fn count_exact_dense_staged_checkpointed(
         Engine::Auto => unreachable!("resolve() never returns Auto"),
     };
 
-    // The interned-stint baseline keeps interning through its per-agent
-    // phase, so the index space must hold the refinement's Θ(n) load values.
-    // The decoded stint only interns boundary configurations, but sizing for
-    // the worst case keeps the two modes byte-comparable.
     let proto = DenseCountExact::with_capacity(params, CountExactParams::dense_capacity(n));
     let handle = proto.clone(); // shares the interner: state census + decode
     let mut sim = HybridSimulator::with_config(
@@ -288,7 +240,6 @@ pub fn count_exact_dense_staged_checkpointed(
         seed,
         HybridConfig {
             substrate,
-            interned_stints: stints == StintMode::Interned,
             ..HybridConfig::default()
         },
     )?;
@@ -299,7 +250,7 @@ pub fn count_exact_dense_staged_checkpointed(
     let mut saver = Autosaver::new(autosave, sim.interactions());
     let outcome = sim.run_until(
         |s| {
-            saver.observe(s, s.interactions(), &params, n, seed, stints, KIND_HYBRID)
+            saver.observe(s, s.interactions(), &params, n, seed, KIND_HYBRID)
                 || s.output_stats().unanimous().is_some_and(|o| o.is_some())
         },
         check_every,
@@ -358,7 +309,6 @@ fn staged_snapshot<S: Checkpointable>(
     params: &CountExactParams,
     n: usize,
     seed: u64,
-    stints: StintMode,
     kind: u8,
 ) -> EngineSnapshot {
     let mut payload = Vec::new();
@@ -368,7 +318,6 @@ fn staged_snapshot<S: Checkpointable>(
     params.refinement_constant_log2.persist(&mut payload);
     n.persist(&mut payload);
     seed.persist(&mut payload);
-    (stints == StintMode::Interned).persist(&mut payload);
     kind.persist(&mut payload);
     sim.save_state().to_bytes().persist(&mut payload);
     EngineSnapshot::new(ENGINE_STAGED, payload)
@@ -381,7 +330,6 @@ fn read_staged_snapshot(
     params: &CountExactParams,
     n: usize,
     seed: u64,
-    stints: StintMode,
 ) -> Result<(u8, EngineSnapshot), SimError> {
     let snap = EngineSnapshot::read_file(path)?;
     snap.expect_engine(ENGINE_STAGED, "staged CountExact runner")?;
@@ -394,17 +342,14 @@ fn read_staged_snapshot(
     };
     let saved_n = usize::unpersist(&mut r)?;
     let saved_seed = u64::unpersist(&mut r)?;
-    let saved_interned = bool::unpersist(&mut r)?;
     let kind = u8::unpersist(&mut r)?;
     let inner_bytes = Vec::<u8>::unpersist(&mut r)?;
     r.finish()?;
-    let interned = stints == StintMode::Interned;
-    if saved != *params || saved_n != n || saved_seed != seed || saved_interned != interned {
+    if saved != *params || saved_n != n || saved_seed != seed {
         return Err(SimError::SnapshotMismatch {
             reason: format!(
                 "staged snapshot was taken with (params {saved:?}, n {saved_n}, seed \
-                 {saved_seed}, interned stints {saved_interned}) but this run asked for \
-                 (params {params:?}, n {n}, seed {seed}, interned stints {interned})"
+                 {saved_seed}) but this run asked for (params {params:?}, n {n}, seed {seed})"
             ),
         });
     }
@@ -430,7 +375,6 @@ impl<'a> Autosaver<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn observe<S: Checkpointable>(
         &mut self,
         sim: &S,
@@ -438,7 +382,6 @@ impl<'a> Autosaver<'a> {
         params: &CountExactParams,
         n: usize,
         seed: u64,
-        stints: StintMode,
         kind: u8,
     ) -> bool {
         let Some(spec) = self.spec else { return false };
@@ -448,7 +391,7 @@ impl<'a> Autosaver<'a> {
         if interactions.saturating_sub(self.last_saved) < spec.every.max(1) {
             return false;
         }
-        match staged_snapshot(sim, params, n, seed, stints, kind).write_atomic(&spec.path) {
+        match staged_snapshot(sim, params, n, seed, kind).write_atomic(&spec.path) {
             Ok(()) => {
                 self.last_saved = interactions;
                 false
@@ -495,6 +438,25 @@ mod tests {
         );
         assert!(!outcome.switch_interactions.is_empty());
         assert!(outcome.states_discovered > 100);
+    }
+
+    /// The first `countexact` seed of the repository benchmark: its
+    /// trajectory (length, switch points, output) is pinned exactly, so a
+    /// refactor of the engines or the stint plumbing cannot move it.
+    #[test]
+    fn benchmark_seed_trajectory_is_pinned() {
+        let n = 2_000usize;
+        let outcome = count_exact_dense_staged(
+            CountExactParams::dense_at_scale(n),
+            n,
+            ppsim::derive_seed(7, 0),
+            Engine::Batched,
+            u64::MAX >> 1,
+        )
+        .unwrap();
+        assert_eq!(outcome.interactions, 25_840_000);
+        assert_eq!(outcome.switch_interactions, vec![2_000, 18_000, 22_855_500]);
+        assert_eq!(outcome.output, Some(2_000));
     }
 
     #[test]
@@ -546,7 +508,6 @@ mod tests {
             21,
             Engine::Batched,
             check_every * 7,
-            StintMode::Decoded,
             Some(&spec),
             None,
         )
@@ -559,7 +520,6 @@ mod tests {
             21,
             Engine::Batched,
             budget,
-            StintMode::Decoded,
             None,
             Some(&path),
         )
@@ -592,7 +552,6 @@ mod tests {
             5,
             Engine::Auto,
             (n as u64) * 20 * 3,
-            StintMode::Decoded,
             Some(&spec),
             None,
         )
@@ -604,7 +563,6 @@ mod tests {
             5,
             Engine::Auto,
             budget,
-            StintMode::Decoded,
             None,
             Some(&path),
         )
@@ -630,7 +588,6 @@ mod tests {
             9,
             Engine::Batched,
             (n as u64) * 20 * 2,
-            StintMode::Decoded,
             Some(&spec),
             None,
         )
@@ -643,26 +600,12 @@ mod tests {
             10,
             Engine::Batched,
             u64::MAX >> 1,
-            StintMode::Decoded,
             None,
             Some(&path),
         )
         .unwrap_err();
         assert!(matches!(err, SimError::SnapshotMismatch { .. }), "{err}");
 
-        // Different stint mode: the per-agent legs would step differently.
-        let err = count_exact_dense_staged_checkpointed(
-            params,
-            n,
-            9,
-            Engine::Batched,
-            u64::MAX >> 1,
-            StintMode::Interned,
-            None,
-            Some(&path),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::SnapshotMismatch { .. }), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -118,11 +118,15 @@ impl CountExactParams {
     ///
     /// Stages 1–2 stay narrow (≈ 7·10⁴ distinct states over a full
     /// `n = 10⁶` window with [`Self::dense_at_scale`]), but the refinement
-    /// stage mints `Θ(n)` live load values (Lemma 11; a converged hybrid run
-    /// at `n = 10⁵` interns ≈ `7.5n` distinct states), and the hybrid engine
-    /// keeps interning through its per-agent phase — so the index space must
-    /// scale with `n`: `16n` with a `2²²` floor, clamped to the interner's
-    /// `u32` ceiling.  Capacity only sizes flat engine buffers (see
+    /// stage mints `Θ(n)` live load values (Lemma 11).  The hybrid engine's
+    /// decoded per-agent stint interns none of them while it steps, yet every
+    /// configuration it hands back to the dense substrate is interned whole,
+    /// and so is every state the dense blocks mint before the occupancy
+    /// monitor's window completes — each of these can add up to `n` states,
+    /// and a run may migrate several times (a converged run at `n = 10⁵`
+    /// interns ≈ `0.5n` distinct states).  So the index space must scale
+    /// with `n`: `16n` with a `2²²` floor, clamped to the interner's `u32`
+    /// ceiling.  Capacity only sizes flat engine buffers (see
     /// [`ppsim::interned`]), so the headroom costs memory, never time.
     #[must_use]
     pub fn dense_capacity(n: usize) -> usize {

@@ -29,7 +29,7 @@ use popcount::{
     DenseApproximate, DenseCountExact,
 };
 use ppsim::{
-    derive_seed, BatchedSimulator, DenseAdapter, Engine, HybridSimulator, OccupancyMonitor,
+    derive_seed, BatchedSimulator, Engine, HybridSimulator, IndexCodec, OccupancyMonitor,
     Simulator, SwitchDirection,
 };
 
@@ -83,7 +83,7 @@ fn dense_approximate_is_a_bisimulation_of_the_sequential_protocol() {
     let params = ApproximateParams::default();
     let dense = DenseApproximate::new(params);
     let mut plain = Simulator::new(Approximate::new(params), n, 0xA11CE).unwrap();
-    let mut interned = Simulator::new(DenseAdapter(dense.clone()), n, 0xA11CE).unwrap();
+    let mut interned = Simulator::new(IndexCodec(dense.clone()), n, 0xA11CE).unwrap();
     for step in 0..8 {
         plain.run(250_000);
         interned.run(250_000);
@@ -104,7 +104,7 @@ fn dense_count_exact_is_a_bisimulation_of_the_sequential_protocol() {
     let params = CountExactParams::default();
     let dense = DenseCountExact::new(params);
     let mut plain = Simulator::new(CountExact::new(params), n, 0xC0DE).unwrap();
-    let mut interned = Simulator::new(DenseAdapter(dense.clone()), n, 0xC0DE).unwrap();
+    let mut interned = Simulator::new(IndexCodec(dense.clone()), n, 0xC0DE).unwrap();
     for step in 0..8 {
         plain.run(250_000);
         interned.run(250_000);
@@ -427,7 +427,7 @@ proptest! {
     #[test]
     fn dense_approximate_indices_roundtrip(seed in any::<u64>(), steps in 1u64..60_000) {
         let dense = DenseApproximate::new(ApproximateParams::default());
-        let mut sim = Simulator::new(DenseAdapter(dense.clone()), 512, seed).unwrap();
+        let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         for &idx in sim.states() {
             let agent = dense.decode(idx as usize);
@@ -445,7 +445,7 @@ proptest! {
     #[test]
     fn dense_count_exact_indices_roundtrip(seed in any::<u64>(), steps in 1u64..60_000) {
         let dense = DenseCountExact::new(CountExactParams::default());
-        let mut sim = Simulator::new(DenseAdapter(dense.clone()), 512, seed).unwrap();
+        let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         for &idx in sim.states() {
             let agent = dense.decode(idx as usize);
@@ -470,7 +470,7 @@ proptest! {
     ) {
         use ppsim::AgentCodec;
         let dense = DenseApproximate::new(ApproximateParams::default());
-        let mut sim = Simulator::new(DenseAdapter(dense.clone()), 512, seed).unwrap();
+        let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         let discovered = dense.states_discovered();
         for idx in 0..discovered {
@@ -498,7 +498,7 @@ proptest! {
     ) {
         use ppsim::AgentCodec;
         let dense = DenseCountExact::new(CountExactParams::default());
-        let mut sim = Simulator::new(DenseAdapter(dense.clone()), 512, seed).unwrap();
+        let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         let discovered = dense.states_discovered();
         for idx in 0..discovered {
@@ -523,7 +523,7 @@ proptest! {
     /// bisimulates δ), so their tallied configurations agree interaction for
     /// interaction.
     #[test]
-    fn decoded_and_interned_stints_advance_the_same_trajectory(
+    fn decoded_and_index_codec_stints_advance_the_same_trajectory(
         seed in any::<u64>(),
         warmup in 10_000u64..100_000,
     ) {
@@ -532,15 +532,15 @@ proptest! {
         let mut warm = HybridSimulator::new(proto.clone(), n, seed).unwrap();
         warm.run(warmup);
         let counts = warm.counts();
-        let stint_seed = seed ^ 0xDEC0;
-        let mut decoded = ppsim::DenseProtocol::agent_stint(&proto, &counts, stint_seed)
-            .expect("DenseCountExact carries a codec");
+        let source = ppsim::StintSource::Counts {
+            counts: &counts,
+            seed: seed ^ 0xDEC0,
+        };
+        let mut decoded = ppsim::DenseProtocol::agent_stint(&proto, source)
+            .expect("DenseCountExact carries a codec")
+            .unwrap();
         prop_assert_eq!(decoded.kind(), "decoded");
-        let mut interned = ppsim::DecodedStint::boxed(
-            ppsim::IndexCodec(proto.clone()),
-            &counts,
-            stint_seed,
-        );
+        let mut interned = ppsim::DecodedStint::boxed(IndexCodec(proto.clone()), source).unwrap();
         prop_assert_eq!(interned.kind(), "interned");
         for _ in 0..4 {
             decoded.run(2_500);

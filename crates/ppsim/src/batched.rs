@@ -58,8 +58,8 @@ use rand::rngs::SmallRng;
 
 use crate::block::{DeltaTable, Occupancy, TouchSet};
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
-use crate::dense::DenseProtocol;
+use crate::convergence::{self, RunOutcome};
+use crate::dense::{check_counts, DenseProtocol};
 use crate::error::SimError;
 use crate::rng::seeded_rng;
 use crate::sample::{multivariate_hypergeometric_sparse, CollisionSampler};
@@ -71,8 +71,8 @@ use crate::snapshot::{
 /// A single execution of a [`DenseProtocol`] on the batched count-based engine.
 ///
 /// Mirrors the [`Simulator`](crate::Simulator) driving surface (`run`,
-/// `run_until`, `run_until_observed`, `output_stats`, seeded construction) on
-/// a configuration stored as state counts.
+/// `run_until`, `output_stats`, seeded construction) on a configuration
+/// stored as state counts.
 #[derive(Debug, Clone)]
 pub struct BatchedSimulator<P: DenseProtocol> {
     protocol: P,
@@ -271,19 +271,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if `counts` has the wrong length
     /// or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
-        if counts.len() != self.q {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("expected {} state counts, got {}", self.q, counts.len()),
-            });
-        }
-        let total: u64 = counts.iter().sum();
-        if total != self.n {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("counts sum to {total}, the population is {}", self.n),
-            });
-        }
+        check_counts(&counts, self.q, self.n)?;
         self.counts = counts;
         self.occupied.rebuild(&self.counts);
         Ok(())
@@ -507,71 +495,18 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the same contract as
     /// [`Simulator::run_until`](crate::Simulator::run_until).
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
-    }
-
-    /// Run until `pred` holds, invoking `observer` after every check interval —
-    /// the same contract as
-    /// [`Simulator::run_until_observed`](crate::Simulator::run_until_observed).
-    pub fn run_until_observed<F, Obs>(
-        &mut self,
-        mut pred: F,
-        mut observer: Obs,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-        Obs: FnMut(&Self),
-    {
-        let check_every = check_every.max(1);
-        observer(self);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            observer(self);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration counts.
@@ -694,8 +629,8 @@ impl<P: DenseProtocol> Checkpointable for BatchedSimulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseAdapter;
     use crate::simulator::Simulator;
+    use crate::stint::IndexCodec;
 
     /// One-way epidemic on two dense states.
     #[derive(Debug, Clone, Copy)]
@@ -897,21 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_monotone_interaction_counts() {
-        let mut sim = BatchedSimulator::new(Rumor, 5000, 13).unwrap();
-        sim.transfer(0, 1, 1).unwrap();
-        let mut checkpoints = Vec::new();
-        let _ = sim.run_until_observed(
-            |s| s.count_of(1) == s.population(),
-            |s| checkpoints.push(s.interactions()),
-            1000,
-            50_000_000,
-        );
-        assert_eq!(checkpoints[0], 0);
-        assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
     fn transfer_and_set_counts_validate() {
         let mut sim = BatchedSimulator::new(Rumor, 10, 0).unwrap();
         assert!(
@@ -1035,7 +955,7 @@ mod tests {
             }
             informed_batched += bs.count_of(1);
 
-            let mut ss = Simulator::new(DenseAdapter(Rumor), n, 5000 + t).unwrap();
+            let mut ss = Simulator::new(IndexCodec(Rumor), n, 5000 + t).unwrap();
             ss.states_mut()[0] = 1;
             ss.run(horizon);
             informed_seq += ss.states().iter().filter(|&&s| s == 1).count() as u64;

@@ -33,6 +33,44 @@ pub enum RunOutcome {
     },
 }
 
+/// The `run_until` loop every engine shares: check `pred` once before the
+/// first step, then run chunks of `min(check_every, max_interactions −
+/// interactions)` and check after each, until `pred` holds or
+/// `max_interactions` *total* interactions have been executed.
+///
+/// Chunk ends are a pure function of the interaction counter, so a run
+/// restored at a check boundary issues exactly the chunk sequence the
+/// uninterrupted run would have — the replay argument of checkpointed
+/// drivers such as the staged `CountExact` runner rests on this.
+pub(crate) fn run_until<S: ?Sized>(
+    sim: &mut S,
+    interactions: impl Fn(&S) -> u64,
+    mut run: impl FnMut(&mut S, u64),
+    mut pred: impl FnMut(&S) -> bool,
+    check_every: u64,
+    max_interactions: u64,
+) -> RunOutcome {
+    let check_every = check_every.max(1);
+    if pred(sim) {
+        return RunOutcome::Converged {
+            interactions: interactions(sim),
+        };
+    }
+    while interactions(sim) < max_interactions {
+        let chunk = check_every.min(max_interactions - interactions(sim));
+        run(sim, chunk);
+        if pred(sim) {
+            return RunOutcome::Converged {
+                interactions: interactions(sim),
+            };
+        }
+    }
+    RunOutcome::Exhausted {
+        interactions: interactions(sim),
+        budget: max_interactions,
+    }
+}
+
 impl RunOutcome {
     /// Whether the run converged within its budget.
     #[must_use]
@@ -109,6 +147,46 @@ mod tests {
             9,
             "exhaustion reports actual work, not the budget"
         );
+    }
+
+    /// A bare interaction counter driven through the shared loop.
+    struct Counter(u64);
+
+    fn drive(start: u64, check_every: u64, max: u64, done_at: u64) -> (RunOutcome, Vec<u64>) {
+        let mut sim = Counter(start);
+        let mut checked = Vec::new();
+        let outcome = run_until(
+            &mut sim,
+            |s| s.0,
+            |s, k| s.0 += k,
+            |s| {
+                checked.push(s.0);
+                s.0 >= done_at
+            },
+            check_every,
+            max,
+        );
+        (outcome, checked)
+    }
+
+    #[test]
+    fn run_until_checks_first_then_after_every_chunk_up_to_the_total_budget() {
+        // Resuming at 5 with checks every 10 against a total budget of 32:
+        // the last chunk is cut to land exactly on the budget.
+        let (outcome, checked) = drive(5, 10, 32, u64::MAX);
+        assert_eq!(checked, vec![5, 15, 25, 32]);
+        assert_eq!(
+            outcome,
+            RunOutcome::Exhausted {
+                interactions: 32,
+                budget: 32
+            }
+        );
+        // Convergence is reported at the first check that holds, and a zero
+        // check interval is treated as one.
+        let (outcome, checked) = drive(0, 0, 100, 3);
+        assert_eq!(checked, vec![0, 1, 2, 3]);
+        assert_eq!(outcome, RunOutcome::Converged { interactions: 3 });
     }
 
     #[test]

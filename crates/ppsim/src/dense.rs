@@ -14,16 +14,15 @@
 //! itself (synthetic coins).  Protocols whose transitions consult an RNG
 //! cannot be batched with this trait.
 //!
-//! [`DenseAdapter`] lifts a `DenseProtocol` back into a regular [`Protocol`]
-//! so the *same* transition system can be driven by both engines — this is how
-//! the distributional-equivalence tests pin the two engines against each
-//! other.
+//! [`IndexCodec`](crate::stint::IndexCodec) lifts a `DenseProtocol` back
+//! into a regular [`Protocol`](crate::Protocol) over `u32` indices, so the
+//! *same* transition system can be driven by both engines — this is how the
+//! distributional-equivalence tests pin the two engines against each other.
 
 use std::fmt::Debug;
 
-use rand::rngs::SmallRng;
-
-use crate::protocol::Protocol;
+use crate::error::SimError;
+use crate::stint::{BoxedAgentStint, StintSource};
 
 /// A population protocol over an enumerated state space `0..q` with a
 /// deterministic transition function.
@@ -139,28 +138,34 @@ pub trait DenseProtocol {
         None
     }
 
-    /// Build a **decoded per-agent stint** over this configuration, if the
-    /// protocol carries a typed agent-state codec
+    /// Build this protocol's own **per-agent stint** from `source`, if it
+    /// carries a typed agent-state codec
     /// ([`AgentCodec`](crate::stint::AgentCodec)).
     ///
-    /// The hybrid engine calls this at every dense → per-agent migration;
-    /// `counts` is the configuration to expand and `seed` drives the stint's
-    /// schedule RNG.  The default `None` makes the engine fall back to
-    /// stepping interned `u32` indices through [`Self::transition`]
-    /// (the [`IndexCodec`](crate::stint::IndexCodec) path).  Codec-bearing
-    /// protocols override it in three lines:
+    /// The hybrid engine builds every stint through this hook: from a
+    /// configuration ([`StintSource::Counts`]) at each dense → per-agent
+    /// migration and on a per-agent-mode `set_counts`, and from the bytes
+    /// [`AgentStint::save_stint`](crate::stint::AgentStint::save_stint)
+    /// wrote ([`StintSource::Saved`]) when it restores a checkpoint.  The
+    /// default `None` makes the engine fall back to stepping dense `u32`
+    /// indices through [`Self::transition`]
+    /// ([`DecodedStint`](crate::stint::DecodedStint) over
+    /// [`IndexCodec`](crate::stint::IndexCodec)).  Codec-bearing protocols
+    /// override it in one line:
     ///
     /// ```rust,ignore
-    /// fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<Self::Output>> {
-    ///     Some(DecodedStint::boxed(self.clone(), counts, seed))
+    /// fn agent_stint(
+    ///     &self,
+    ///     source: StintSource<'_>,
+    /// ) -> Option<Result<BoxedAgentStint<Self::Output>, SimError>> {
+    ///     Some(DecodedStint::boxed(self.clone(), source))
     /// }
     /// ```
     fn agent_stint(
         &self,
-        counts: &[u64],
-        seed: u64,
-    ) -> Option<crate::stint::BoxedAgentStint<Self::Output>> {
-        let _ = (counts, seed);
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<Self::Output>, SimError>> {
+        let _ = source;
         None
     }
 
@@ -184,13 +189,13 @@ pub trait DenseProtocol {
     ///
     /// # Errors
     ///
-    /// [`SimError`](crate::SimError) variants describing a corrupt or
+    /// [`SimError`] variants describing a corrupt or
     /// mismatched payload.
-    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), crate::SimError> {
+    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), SimError> {
         if bytes.is_empty() {
             Ok(())
         } else {
-            Err(crate::SimError::SnapshotMismatch {
+            Err(SimError::SnapshotMismatch {
                 reason: format!(
                     "protocol `{}` carries no mutable state but the snapshot \
                      holds {} bytes of it",
@@ -199,23 +204,6 @@ pub trait DenseProtocol {
                 ),
             })
         }
-    }
-
-    /// Rebuild a **decoded per-agent stint** from bytes written by
-    /// [`AgentStint::save_stint`](crate::stint::AgentStint::save_stint) —
-    /// the restore-side counterpart of [`agent_stint`](Self::agent_stint).
-    ///
-    /// Protocols that override `agent_stint` must override this too (with
-    /// `DecodedStint::restore_boxed(self.clone(), bytes)`), or their hybrid
-    /// snapshots taken mid-stint cannot be restored.  The default `None`
-    /// signals "this protocol has no codec"; the hybrid engine then reports
-    /// a [`SnapshotMismatch`](crate::SimError::SnapshotMismatch).
-    fn restore_agent_stint(
-        &self,
-        bytes: &[u8],
-    ) -> Option<Result<crate::stint::BoxedAgentStint<Self::Output>, crate::SimError>> {
-        let _ = bytes;
-        None
     }
 }
 
@@ -253,63 +241,45 @@ impl<P: DenseProtocol + ?Sized> DenseProtocol for &P {
     }
     fn agent_stint(
         &self,
-        counts: &[u64],
-        seed: u64,
-    ) -> Option<crate::stint::BoxedAgentStint<Self::Output>> {
-        (**self).agent_stint(counts, seed)
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<Self::Output>, SimError>> {
+        (**self).agent_stint(source)
     }
     fn save_protocol_state(&self) -> Vec<u8> {
         (**self).save_protocol_state()
     }
-    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), crate::SimError> {
+    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), SimError> {
         (**self).restore_protocol_state(bytes)
-    }
-    fn restore_agent_stint(
-        &self,
-        bytes: &[u8],
-    ) -> Option<Result<crate::stint::BoxedAgentStint<Self::Output>, crate::SimError>> {
-        (**self).restore_agent_stint(bytes)
     }
 }
 
-/// Adapter running a [`DenseProtocol`] on the sequential per-agent engine.
+/// Check that `counts` is a configuration of `n` agents over `q` states:
+/// the validation every engine's `set_counts` shares.
 ///
-/// The agent state is the dense index itself (`u32`), so a
-/// `Simulator<DenseAdapter<P>>` executes exactly the same transition system as
-/// a `BatchedSimulator<P>` — the two engines then differ only in how they
-/// sample the schedule, which is what the equivalence tests exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DenseAdapter<P>(pub P);
-
-impl<P: DenseProtocol> Protocol for DenseAdapter<P> {
-    type State = u32;
-    type Output = P::Output;
-
-    fn initial_state(&self) -> u32 {
-        // Dense index spaces are bounded well below u32::MAX. ppcheck: allow(no-unwrap)
-        u32::try_from(self.0.initial_state()).expect("dense state spaces fit in u32")
+/// # Errors
+///
+/// Returns [`SimError::InvalidParameter`] (`counts`) if the vector does not
+/// hold exactly `q` entries or does not sum to `n`.
+pub(crate) fn check_counts(counts: &[u64], q: usize, n: u64) -> Result<(), SimError> {
+    if counts.len() != q {
+        return Err(SimError::InvalidParameter {
+            name: "counts",
+            reason: format!("expected {q} state counts, got {}", counts.len()),
+        });
     }
-
-    fn interact(&self, initiator: &mut u32, responder: &mut u32, _rng: &mut SmallRng) {
-        let (a, b) = self.0.transition(*initiator as usize, *responder as usize);
-        *initiator = a as u32;
-        *responder = b as u32;
+    let total: u64 = counts.iter().sum();
+    if total != n {
+        return Err(SimError::InvalidParameter {
+            name: "counts",
+            reason: format!("counts sum to {total}, the population is {n}"),
+        });
     }
-
-    fn output(&self, state: &u32) -> Self::Output {
-        self.0.output(*state as usize)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::seeded_rng;
-    use crate::simulator::Simulator;
 
     /// Two-state one-way epidemic on dense indices.
     struct Rumor;
@@ -334,15 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn adapter_runs_dense_transitions_on_the_sequential_engine() {
-        let mut sim = Simulator::new(DenseAdapter(Rumor), 100, 3).unwrap();
-        sim.states_mut()[0] = 1;
-        let outcome = sim.run_until(|s| s.states().iter().all(|&x| x == 1), 100, 10_000_000);
-        assert!(outcome.converged());
-        assert!(sim.outputs().iter().all(|&o| o));
-    }
-
-    #[test]
     fn reference_delegation_preserves_dense_behaviour() {
         let p = Rumor;
         let r = &p;
@@ -351,15 +312,5 @@ mod tests {
         assert_eq!(r.transition(0, 1), (1, 1));
         assert!(r.output(1));
         assert_eq!(r.name(), "rumor");
-    }
-
-    #[test]
-    fn adapter_interact_applies_delta_in_place() {
-        let adapter = DenseAdapter(Rumor);
-        let mut rng = seeded_rng(0);
-        let mut u = 0u32;
-        let mut v = 1u32;
-        adapter.interact(&mut u, &mut v, &mut rng);
-        assert_eq!((u, v), (1, 1));
     }
 }

@@ -22,8 +22,8 @@
 
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
-use crate::dense::{DenseAdapter, DenseProtocol};
+use crate::convergence::{self, RunOutcome};
+use crate::dense::{check_counts, DenseProtocol};
 use crate::error::SimError;
 use crate::hybrid::{HybridLegs, HybridSimulator};
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
@@ -31,6 +31,7 @@ use crate::simulator::Simulator;
 use crate::snapshot::{
     Checkpointable, EngineSnapshot, PersistState, ENGINE_DENSE_SEQUENTIAL, ENGINE_SEQUENTIAL,
 };
+use crate::stint::IndexCodec;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -75,7 +76,7 @@ pub const SEQUENTIAL_CROSSOVER: usize = 3_000;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The per-agent sequential engine ([`Simulator`] over [`DenseAdapter`]).
+    /// The per-agent sequential engine ([`Simulator`] over [`IndexCodec`]).
     Sequential,
     /// The single-threaded batched count-based engine ([`BatchedSimulator`]).
     Batched,
@@ -160,7 +161,7 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub enum DenseSimulator<P: DenseProtocol + Clone + Send> {
     /// Sequential per-agent execution.
-    Sequential(Simulator<DenseAdapter<P>>),
+    Sequential(Simulator<IndexCodec<P>>),
     /// Batched count-based execution.
     Batched(BatchedSimulator<P>),
     /// Sharded batched execution.
@@ -181,7 +182,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     pub fn new(engine: Engine, protocol: P, n: usize, seed: u64) -> Result<Self, SimError> {
         match engine.resolve_for(n, protocol.dynamic()) {
             Engine::Sequential => Ok(DenseSimulator::Sequential(Simulator::new(
-                DenseAdapter(protocol),
+                IndexCodec(protocol),
                 n,
                 seed,
             )?)),
@@ -393,32 +394,11 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let q = s.protocol().0.num_states();
-                if counts.len() != q {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("expected {q} state counts, got {}", counts.len()),
-                    });
-                }
-                let n = s.population() as u64;
-                let total: u64 = counts.iter().sum();
-                if total != n {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("counts sum to {total}, the population is {n}"),
-                    });
-                }
+                check_counts(&counts, s.protocol().0.num_states(), s.population() as u64)?;
+                // The counts sum to the population, so they fill every slot.
                 let mut slots = s.states_mut().iter_mut();
                 for (state, &c) in counts.iter().enumerate() {
-                    for _ in 0..c {
-                        let Some(slot) = slots.next() else {
-                            return Err(SimError::InvalidParameter {
-                                name: "counts",
-                                reason: format!(
-                                    "counts sum to {total} but only {n} agent slots exist"
-                                ),
-                            });
-                        };
+                    for slot in slots.by_ref().take(c as usize) {
                         *slot = state as u32;
                     }
                 }
@@ -510,34 +490,18 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the shared `run_until` contract of
     /// the three engines.
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions(),
-            };
-        }
-        while self.interactions() < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions());
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions(),
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions(),
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 }
 

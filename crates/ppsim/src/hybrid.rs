@@ -38,16 +38,15 @@
 //! the state interner **out of the hot loop entirely**: it is consulted only
 //! at the migration boundaries — decode each occupied index once on
 //! dense → agent, tally + intern once per distinct state on agent → dense —
-//! instead of four locked probes per interaction, which cost the PR 4
-//! interned stint a measured ~40 % of the `CountExact` refinement leg at
-//! `n = 10⁵`.  Protocols without a codec fall back to stepping interned
-//! `u32` indices through [`DenseProtocol::transition`]
-//! ([`IndexCodec`]); setting
-//! [`HybridConfig::interned_stints`] forces that fallback for every
-//! protocol, which is the comparison baseline E20 and the bench tooling
-//! measure against.  The stint also maintains its occupancy census
-//! incrementally, so agent-mode monitor observations are `O(1)` instead of
-//! an `O(n log n)` sort of the state vector.
+//! instead of four locked probes per interaction, which cost a stint over
+//! interned indices a measured ~40 % of the `CountExact` refinement leg at
+//! `n = 10⁵`.  Protocols without a codec fall back to stepping `u32`
+//! indices through [`DenseProtocol::transition`] ([`IndexCodec`]).  Every
+//! stint — at a migration, on a per-agent-mode `set_counts`, on restore —
+//! is built in one place from the hook or that fallback, so a protocol's
+//! stints are always of one kind.  The stint also maintains its occupancy
+//! census incrementally, so agent-mode monitor observations are `O(1)`
+//! instead of an `O(n log n)` sort of the state vector.
 //!
 //! # Exactness
 //!
@@ -94,15 +93,15 @@ use std::time::Instant;
 
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
-use crate::dense::DenseProtocol;
+use crate::convergence::{self, RunOutcome};
+use crate::dense::{check_counts, DenseProtocol};
 use crate::error::SimError;
 use crate::rng::derive_seed;
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
 use crate::snapshot::{
     Checkpointable, EngineSnapshot, PersistState, SnapshotReader, ENGINE_HYBRID,
 };
-use crate::stint::{BoxedAgentStint, DecodedStint, IndexCodec};
+use crate::stint::{BoxedAgentStint, DecodedStint, IndexCodec, StintSource};
 
 use rand::rngs::SmallRng;
 
@@ -154,13 +153,6 @@ pub struct HybridConfig {
     /// its census incrementally, so an observation is `O(q_occ)` resp.
     /// `O(1)` in either representation.
     pub monitor_every: Option<u64>,
-    /// Run per-agent stints on **interned `u32` indices** through
-    /// [`DenseProtocol::transition`] even when the protocol carries an
-    /// [`AgentCodec`](crate::stint::AgentCodec) — the PR 4 stepping path,
-    /// kept as a measurable baseline for the decoded-vs-interned comparison
-    /// (experiment E20, `bench_batched_json --interned-stints`).  Default
-    /// `false`: codec-bearing protocols run their stints on native structs.
-    pub interned_stints: bool,
 }
 
 impl Default for HybridConfig {
@@ -171,7 +163,6 @@ impl Default for HybridConfig {
             switch_down: 8.0,
             window: 2,
             monitor_every: None,
-            interned_stints: false,
         }
     }
 }
@@ -716,29 +707,12 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             Mode::Batched(s) => s.set_counts(counts)?,
             Mode::Sharded(s) => s.set_counts(counts)?,
             Mode::Agent(_) => {
-                let q = self.protocol.num_states();
-                if counts.len() != q {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("expected {q} state counts, got {}", counts.len()),
-                    });
-                }
-                let total: u64 = counts.iter().sum();
-                if total != self.n {
-                    return Err(SimError::InvalidParameter {
-                        name: "counts",
-                        reason: format!("counts sum to {total}, the population is {}", self.n),
-                    });
-                }
-                let stint_seed = derive_seed(self.seed, SETCOUNT_SALT + self.interactions());
-                let stint = if self.config.interned_stints {
-                    None
-                } else {
-                    self.protocol.agent_stint(&counts, stint_seed)
-                };
-                let stint = stint.unwrap_or_else(|| {
-                    DecodedStint::boxed(IndexCodec(self.protocol.clone()), &counts, stint_seed)
-                });
+                check_counts(&counts, self.protocol.num_states(), self.n)?;
+                let seed = derive_seed(self.seed, SETCOUNT_SALT + self.interactions());
+                let stint = self.build_stint(StintSource::Counts {
+                    counts: &counts,
+                    seed,
+                })?;
                 let executed = self.mode_interactions();
                 self.completed += executed;
                 self.agent_total += executed;
@@ -867,21 +841,13 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
         let switch_seed = derive_seed(self.seed, SWITCH_SALT + 1 + self.switches.len() as u64);
         let successor = match direction {
             SwitchDirection::ToAgent => {
-                let counts = self.counts();
-                // Decoded stint if the protocol carries a codec (unless the
-                // configuration pins the interned baseline); otherwise step
-                // interned u32 indices through `transition` as PR 4 did.
-                // Either stint expands in state-index order: a fixed,
+                // The stint expands in state-index order: a fixed,
                 // representation-independent layout, so the hand-off is a
                 // pure function of the configuration.
-                let stint = if self.config.interned_stints {
-                    None
-                } else {
-                    self.protocol.agent_stint(&counts, switch_seed)
-                };
-                let stint = stint.unwrap_or_else(|| {
-                    DecodedStint::boxed(IndexCodec(self.protocol.clone()), &counts, switch_seed)
-                });
+                let stint = self.build_stint(StintSource::Counts {
+                    counts: &self.counts(),
+                    seed: switch_seed,
+                })?;
                 debug_assert_eq!(
                     stint.population() as u64,
                     self.n,
@@ -919,6 +885,17 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             discovered_states: self.protocol.discovered_states(),
         });
         Ok(())
+    }
+
+    /// Build a per-agent stint from `source`: the protocol's own through its
+    /// [`DenseProtocol::agent_stint`] hook, or else `DecodedStint` over
+    /// [`IndexCodec`], stepping dense indices through `transition`.  Every
+    /// stint this engine runs is built here — at a migration, on a
+    /// per-agent-mode [`Self::set_counts`], and on restore.
+    fn build_stint(&self, source: StintSource<'_>) -> Result<BoxedAgentStint<P::Output>, SimError> {
+        self.protocol
+            .agent_stint(source)
+            .unwrap_or_else(|| DecodedStint::boxed(IndexCodec(self.protocol.clone()), source))
     }
 
     /// The first error a *monitor-driven* migration hit, if any.
@@ -997,34 +974,18 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the shared `run_until` contract of
     /// the engines.
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions(),
-            };
-        }
-        while self.interactions() < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions());
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions(),
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions(),
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration counts.
@@ -1078,7 +1039,6 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// f64 × 2        switch_up, switch_down
 /// u32            window
 /// u64            resolved monitor_every
-/// bool           interned_stints
 /// u64 × 4        completed, dense_total, agent_total, next_observation
 /// bool, u32      monitor mode flag, monitor streak
 /// switch log     count + (interactions, direction, occupied, discovered?) each
@@ -1098,9 +1058,12 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// relies on it).
 ///
 /// Configuration fields that shape the trajectory (population, substrate,
-/// thresholds, window, monitor cadence, stint representation) are validated
-/// against the restore target; the thread budget is not (it never shapes
-/// the trajectory).
+/// thresholds, window, monitor cadence) are validated against the restore
+/// target; the thread budget is not (it never shapes the trajectory).  A
+/// per-agent snapshot must hold the kind of stint this protocol builds
+/// (`"decoded"` through its codec, `"interned"` without one); a stint of
+/// the other kind fails with [`SimError::SnapshotMismatch`] once its bytes
+/// decode.
 impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulator<P> {
     fn save_state(&self) -> EngineSnapshot {
         let mut payload = Vec::new();
@@ -1118,7 +1081,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         self.config.switch_down.persist(&mut payload);
         self.config.window.persist(&mut payload);
         self.monitor_every.persist(&mut payload);
-        self.config.interned_stints.persist(&mut payload);
         self.completed.persist(&mut payload);
         self.dense_total.persist(&mut payload);
         self.agent_total.persist(&mut payload);
@@ -1178,7 +1140,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         let switch_down = r.read::<f64>()?;
         let window = r.read::<u32>()?;
         let monitor_every = r.read::<u64>()?;
-        let interned_stints = r.read::<bool>()?;
         let completed = r.read::<u64>()?;
         let dense_total = r.read::<u64>()?;
         let agent_total = r.read::<u64>()?;
@@ -1230,22 +1191,19 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         } && switch_up.to_bits() == self.config.switch_up.to_bits()
             && switch_down.to_bits() == self.config.switch_down.to_bits()
             && window == self.config.window
-            && monitor_every == self.monitor_every
-            && interned_stints == self.config.interned_stints;
+            && monitor_every == self.monitor_every;
         if !config_matches {
             return Err(SimError::SnapshotMismatch {
                 reason: format!(
                     "snapshot was taken under a different hybrid configuration \
-                     (substrate/thresholds/window/cadence/stint representation): \
-                     snapshot ({substrate:?}, {switch_up}/{switch_down}, window {window}, \
-                     every {monitor_every}, interned {interned_stints}) vs simulator \
-                     ({:?}, {}/{}, window {}, every {}, interned {})",
+                     (substrate/thresholds/window/cadence): snapshot ({substrate:?}, \
+                     {switch_up}/{switch_down}, window {window}, every {monitor_every}) vs \
+                     simulator ({:?}, {}/{}, window {}, every {})",
                     self.config.substrate,
                     self.config.switch_up,
                     self.config.switch_down,
                     self.config.window,
-                    self.monitor_every,
-                    self.config.interned_stints
+                    self.monitor_every
                 ),
             });
         }
@@ -1272,29 +1230,18 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 mode
             }
             MODE_AGENT => {
-                let stint = match stint_kind {
-                    Some("interned") => {
-                        DecodedStint::restore_boxed(IndexCodec(self.protocol.clone()), &mode_bytes)?
-                    }
-                    Some("decoded") => match self.protocol.restore_agent_stint(&mode_bytes) {
-                        Some(stint) => stint?,
-                        None => {
-                            return Err(SimError::SnapshotMismatch {
-                                reason: format!(
-                                    "snapshot holds a decoded per-agent stint but protocol \
-                                     `{}` does not implement restore_agent_stint",
-                                    self.protocol.name()
-                                ),
-                            })
-                        }
-                    },
-                    _ => {
-                        return Err(SimError::SnapshotCorrupt {
-                            reason: "snapshot is in per-agent mode but records no stint kind"
-                                .into(),
-                        })
-                    }
-                };
+                let stint = self.build_stint(StintSource::Saved(&mode_bytes))?;
+                if stint_kind != Some(stint.kind()) {
+                    return Err(SimError::SnapshotMismatch {
+                        reason: format!(
+                            "snapshot holds a {} per-agent stint but protocol `{}` builds \
+                             {} stints",
+                            stint_kind.unwrap_or("missing"),
+                            self.protocol.name(),
+                            stint.kind()
+                        ),
+                    });
+                }
                 Mode::Agent(stint)
             }
             other => {
@@ -1659,6 +1606,76 @@ mod tests {
         other_substrate.run(500);
         assert_eq!(other_substrate.interactions(), 500);
         assert!(other_substrate.fault().is_none());
+    }
+
+    /// The two-state rumour again, but carrying an agent-state codec whose
+    /// native state is the `u32` index itself: its stints are `"decoded"`,
+    /// and their saved bytes read as well as the `"interned"` ones.
+    #[derive(Debug, Clone, Copy)]
+    struct CodedRumor;
+    impl DenseProtocol for CodedRumor {
+        type Output = bool;
+        fn num_states(&self) -> usize {
+            2
+        }
+        fn initial_state(&self) -> usize {
+            0
+        }
+        fn transition(&self, u: usize, v: usize) -> (usize, usize) {
+            Rumor.transition(u, v)
+        }
+        fn output(&self, s: usize) -> bool {
+            s == 1
+        }
+        fn agent_stint(
+            &self,
+            source: StintSource<'_>,
+        ) -> Option<Result<BoxedAgentStint<bool>, SimError>> {
+            Some(DecodedStint::boxed(*self, source))
+        }
+    }
+    impl crate::stint::AgentCodec for CodedRumor {
+        type Native = IndexCodec<Rumor>;
+        fn native(&self) -> IndexCodec<Rumor> {
+            IndexCodec(Rumor)
+        }
+        fn decode_agent(&self, index: usize) -> u32 {
+            index as u32
+        }
+        fn encode_agent(&self, state: &u32) -> usize {
+            *state as usize
+        }
+    }
+
+    /// A per-agent snapshot restores only into a protocol that builds the
+    /// same kind of stint, in either direction.
+    #[test]
+    fn restoring_a_stint_of_another_kind_is_a_mismatch() {
+        fn mid_stint<P: DenseProtocol + Clone + Send + 'static>(proto: P) -> EngineSnapshot {
+            let mut sim = HybridSimulator::new(proto, 1_000, 4).unwrap();
+            sim.transfer(0, 1, 10).unwrap();
+            sim.switch_to_agent().unwrap();
+            sim.run(500);
+            sim.save_state()
+        }
+        let interned = mid_stint(Rumor);
+        let decoded = mid_stint(CodedRumor);
+
+        let mut coded = HybridSimulator::new(CodedRumor, 1_000, 4).unwrap();
+        assert!(matches!(
+            coded.restore_state(&interned),
+            Err(SimError::SnapshotMismatch { .. })
+        ));
+        coded.restore_state(&decoded).unwrap();
+        assert_eq!(coded.stint_kind(), Some("decoded"));
+
+        let mut plain = HybridSimulator::new(Rumor, 1_000, 4).unwrap();
+        assert!(matches!(
+            plain.restore_state(&decoded),
+            Err(SimError::SnapshotMismatch { .. })
+        ));
+        plain.restore_state(&interned).unwrap();
+        assert_eq!(plain.stint_kind(), Some("interned"));
     }
 
     proptest! {

@@ -114,7 +114,7 @@ pub use conformance::{
     MatrixSummary, ProtocolInvariants, Scenario,
 };
 pub use convergence::RunOutcome;
-pub use dense::{DenseAdapter, DenseProtocol};
+pub use dense::DenseProtocol;
 pub use engine::{DenseSimulator, Engine, SEQUENTIAL_CROSSOVER};
 pub use error::SimError;
 pub use hybrid::{
@@ -122,7 +122,7 @@ pub use hybrid::{
     SwitchEvent,
 };
 pub use interned::StateInterner;
-pub use metrics::{StateSpaceTracker, TimeSeries};
+pub use metrics::StateSpaceTracker;
 pub use parallel::{run_trials, run_trials_with_threads};
 pub use protocol::Protocol;
 pub use rng::{derive_seed, seeded_rng};
@@ -132,4 +132,4 @@ pub use simulator::Simulator;
 pub use snapshot::{
     Checkpointable, EngineSnapshot, PersistState, SnapshotReader, SNAPSHOT_VERSION,
 };
-pub use stint::{AgentCodec, AgentStint, BoxedAgentStint, DecodedStint, IndexCodec};
+pub use stint::{AgentCodec, AgentStint, BoxedAgentStint, DecodedStint, IndexCodec, StintSource};

@@ -1,4 +1,4 @@
-//! Measurement utilities: empirical state-space usage and time series.
+//! Measurement utilities: empirical state-space usage.
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -55,71 +55,6 @@ impl<S: Eq + Hash + Clone> StateSpaceTracker<S> {
     }
 }
 
-/// A sampled time series `(interaction count, value)`.
-///
-/// Used by the experiment harness to record, e.g., the number of informed agents
-/// over time or the maximum load during balancing.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries<T> {
-    points: Vec<(u64, T)>,
-}
-
-impl<T> TimeSeries<T> {
-    /// Create an empty time series.
-    #[must_use]
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Append a sample taken at `interactions`.
-    pub fn push(&mut self, interactions: u64, value: T) {
-        self.points.push((interactions, value));
-    }
-
-    /// The recorded samples in insertion order.
-    #[must_use]
-    pub fn points(&self) -> &[(u64, T)] {
-        &self.points
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The last recorded sample.
-    #[must_use]
-    pub fn last(&self) -> Option<&(u64, T)> {
-        self.points.last()
-    }
-
-    /// Iterate over the samples.
-    pub fn iter(&self) -> impl Iterator<Item = &(u64, T)> {
-        self.points.iter()
-    }
-}
-
-impl<T> FromIterator<(u64, T)> for TimeSeries<T> {
-    fn from_iter<I: IntoIterator<Item = (u64, T)>>(iter: I) -> Self {
-        TimeSeries {
-            points: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<T> Extend<(u64, T)> for TimeSeries<T> {
-    fn extend<I: IntoIterator<Item = (u64, T)>>(&mut self, iter: I) {
-        self.points.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,26 +76,5 @@ mod tests {
     fn tracker_default_is_empty() {
         let t: StateSpaceTracker<u8> = StateSpaceTracker::default();
         assert_eq!(t.distinct_states(), 0);
-    }
-
-    #[test]
-    fn time_series_records_in_order() {
-        let mut ts = TimeSeries::new();
-        assert!(ts.is_empty());
-        ts.push(0, 1.0);
-        ts.push(100, 2.0);
-        ts.push(200, 3.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.last(), Some(&(200, 3.0)));
-        let xs: Vec<u64> = ts.iter().map(|(t, _)| *t).collect();
-        assert_eq!(xs, vec![0, 100, 200]);
-    }
-
-    #[test]
-    fn time_series_from_iterator_and_extend() {
-        let mut ts: TimeSeries<u32> = (0..3).map(|i| (i as u64, i)).collect();
-        ts.extend([(10, 10u32)]);
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts.points()[3], (10, 10));
     }
 }

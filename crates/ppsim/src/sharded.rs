@@ -104,8 +104,8 @@ use rand::Rng;
 use crate::batched::BatchedSimulator;
 use crate::block::{DeltaTable, Occupancy};
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
-use crate::dense::DenseProtocol;
+use crate::convergence::{self, RunOutcome};
+use crate::dense::{check_counts, DenseProtocol};
 use crate::error::SimError;
 use crate::parallel::run_chunked;
 use crate::rng::{derive_seed, seeded_rng};
@@ -146,8 +146,8 @@ impl Default for ShardedConfig {
 /// A single execution of a [`DenseProtocol`] on the sharded batched engine.
 ///
 /// Mirrors the [`BatchedSimulator`] driving surface (`run`, `run_until`,
-/// `run_until_observed`, `output_stats`, `transfer`, seeded construction) on
-/// a population partitioned across shard-local counts vectors.
+/// `output_stats`, `transfer`, seeded construction) on a population
+/// partitioned across shard-local counts vectors.
 ///
 /// The protocol must be `Clone + Send` (each shard owns a copy and may be
 /// advanced on a worker thread).
@@ -419,19 +419,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if `counts` has the wrong length
     /// or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
-        if counts.len() != self.q {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("expected {} state counts, got {}", self.q, counts.len()),
-            });
-        }
-        let total: u64 = counts.iter().sum();
-        if total != self.n {
-            return Err(SimError::InvalidParameter {
-                name: "counts",
-                reason: format!("counts sum to {total}, the population is {}", self.n),
-            });
-        }
+        check_counts(&counts, self.q, self.n)?;
         self.counts = counts;
         self.occupied.rebuild(&self.counts);
         self.rebalance();
@@ -727,70 +715,18 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the same contract as
     /// [`BatchedSimulator::run_until`].
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
-    }
-
-    /// Run until `pred` holds, invoking `observer` after every check interval —
-    /// the same contract as [`BatchedSimulator::run_until_observed`].
-    pub fn run_until_observed<F, Obs>(
-        &mut self,
-        mut pred: F,
-        mut observer: Obs,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-        Obs: FnMut(&Self),
-    {
-        let check_every = check_every.max(1);
-        observer(self);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            observer(self);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration counts.
@@ -1154,21 +1090,6 @@ mod tests {
             }
         );
         assert_eq!(sim.interactions(), 100);
-    }
-
-    #[test]
-    fn observer_sees_monotone_interaction_counts() {
-        let mut sim = ShardedBatchedSimulator::new(Rumor, 5000, 13, config(4, 1)).unwrap();
-        sim.transfer(0, 1, 1).unwrap();
-        let mut checkpoints = Vec::new();
-        let _ = sim.run_until_observed(
-            |s| s.count_of(1) == s.population(),
-            |s| checkpoints.push(s.interactions()),
-            1000,
-            50_000_000,
-        );
-        assert_eq!(checkpoints[0], 0);
-        assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 
 use crate::config::ConfigurationStats;
-use crate::convergence::RunOutcome;
+use crate::convergence::{self, RunOutcome};
 use crate::error::SimError;
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
@@ -182,73 +182,18 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
     /// which the predicate held.  For the monotone "done"-flag predicates exposed by
     /// the counting protocols this equals the convergence time up to the check
     /// granularity.
-    pub fn run_until<F>(
-        &mut self,
-        mut pred: F,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,
     {
-        let check_every = check_every.max(1);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
-    }
-
-    /// Run until `pred` holds, invoking `observer` after every check interval.
-    ///
-    /// The observer receives the simulator after each chunk of `check_every`
-    /// interactions; it is used by the measurement harness to record time series and
-    /// empirical state-space usage without entangling measurement with simulation.
-    pub fn run_until_observed<F, Obs>(
-        &mut self,
-        mut pred: F,
-        mut observer: Obs,
-        check_every: u64,
-        max_interactions: u64,
-    ) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-        Obs: FnMut(&Self),
-    {
-        let check_every = check_every.max(1);
-        observer(self);
-        if pred(self) {
-            return RunOutcome::Converged {
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let chunk = check_every.min(max_interactions - self.interactions);
-            self.run(chunk);
-            observer(self);
-            if pred(self) {
-                return RunOutcome::Converged {
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome::Exhausted {
-            interactions: self.interactions,
-            budget: max_interactions,
-        }
+        convergence::run_until(
+            self,
+            Self::interactions,
+            Self::run,
+            pred,
+            check_every,
+            max_interactions,
+        )
     }
 
     /// Consume the simulator and return the final configuration.
@@ -414,24 +359,6 @@ mod tests {
         b.run(200);
         // With overwhelming probability the informed sets differ after 200 steps.
         assert_ne!(a.states(), b.states());
-    }
-
-    #[test]
-    fn observer_sees_monotone_interaction_counts() {
-        let mut sim = Simulator::new(MaxBroadcast, 32, 4).unwrap();
-        sim.states_mut()[0] = 1;
-        let mut checkpoints = Vec::new();
-        let _ = sim.run_until_observed(
-            |s| s.states().iter().all(|&x| x == 1),
-            |s| checkpoints.push(s.interactions()),
-            64,
-            1_000_000,
-        );
-        assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            checkpoints[0], 0,
-            "observer is called before the first step"
-        );
     }
 
     #[test]

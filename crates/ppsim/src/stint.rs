@@ -2,14 +2,14 @@
 //!
 //! The hybrid engine ([`HybridSimulator`](crate::HybridSimulator)) migrates a
 //! run to per-agent simulation when the count representation degenerates.
-//! Through PR 4 that per-agent stint stepped **interned `u32` indices**: every
-//! interaction of a dynamic protocol walked decode → interact → re-encode
-//! through the [`StateInterner`](crate::StateInterner) (two `RwLock`ed map
-//! probes and two SipHash evaluations per interaction), which cost a measured
-//! ~40 % of the `CountExact` refinement leg at `n = 10⁵` — exactly the
-//! `Θ(n)`-live-loads regime where per-agent simulation carries the run.
+//! Stepping **dense `u32` indices** there would walk every interaction of a
+//! dynamic protocol through decode → interact → re-encode in the
+//! [`StateInterner`](crate::StateInterner) (two `RwLock`ed map probes and two
+//! SipHash evaluations per interaction), which cost a measured ~40 % of the
+//! `CountExact` refinement leg at `n = 10⁵` — exactly the `Θ(n)`-live-loads
+//! regime where per-agent simulation carries the run.
 //!
-//! This module removes the interner from that hot loop:
+//! This module keeps the interner out of that hot loop:
 //!
 //! * [`AgentCodec`] is an optional extension of
 //!   [`DenseProtocol`]: a bijection
@@ -24,10 +24,12 @@
 //!   the exact Markov-in-configuration transfer.
 //! * [`IndexCodec`] is the fallback codec for protocols without a native
 //!   decoding: the "native" state is the dense index itself, and stepping
-//!   goes through [`DenseProtocol::transition`](crate::DenseProtocol) exactly
-//!   as the PR 4 stint did — this is also the comparison lever
-//!   ([`HybridConfig::interned_stints`](crate::HybridConfig)) that keeps the
-//!   interned behaviour measurable.
+//!   goes through [`DenseProtocol::transition`](crate::DenseProtocol).  As a
+//!   plain [`Protocol`] it also runs dense protocols on the sequential
+//!   [`Simulator`](crate::Simulator).
+//! * [`StintSource`] says where a stint starts — a configuration to expand
+//!   or bytes a checkpoint saved — so one hook,
+//!   [`DenseProtocol::agent_stint`], covers both construction and restore.
 //!
 //! # The incremental census
 //!
@@ -193,7 +195,7 @@ type Census = HashMap<u64, u64, BuildHasherDefault<StateHasher>>;
 /// [`DecodedStint`] — native structs in a `Vec`, zero interner traffic per
 /// interaction — instead of the interned `u32` fallback.  Implementers also
 /// override [`DenseProtocol::agent_stint`] to hand the engine the stint
-/// (three lines; see the module docs of [`crate::hybrid`]).
+/// (one line: `Some(DecodedStint::boxed(self.clone(), source))`).
 ///
 /// # Contract
 ///
@@ -257,6 +259,23 @@ pub trait AgentCodec: DenseProtocol + Clone + Send + 'static {
     }
 }
 
+/// Where a per-agent stint starts: the input of
+/// [`DenseProtocol::agent_stint`] and [`DecodedStint::boxed`].
+#[derive(Debug, Clone, Copy)]
+pub enum StintSource<'a> {
+    /// Expand this dense configuration into agents (in state-index order),
+    /// seeding the stint's schedule RNG with `seed`.
+    Counts {
+        /// The configuration's state counts.
+        counts: &'a [u64],
+        /// Seed of the stint's schedule RNG.
+        seed: u64,
+    },
+    /// Rebuild the stint whose replay state [`AgentStint::save_stint`]
+    /// wrote into these bytes.
+    Saved(&'a [u8]),
+}
+
 /// The driving surface the hybrid engine needs from a per-agent stint,
 /// object-safe so protocols can hand back their own monomorphised stint
 /// ([`DenseProtocol::agent_stint`]) without the engine naming the state type.
@@ -312,9 +331,9 @@ pub trait AgentStint<O>: fmt::Debug + Send {
     /// Append this stint's full replay state — interaction count, schedule
     /// RNG, per-agent native states — to `out` (see [`crate::snapshot`]).
     ///
-    /// The bytes are restored by
-    /// [`DenseProtocol::restore_agent_stint`]
-    /// (for codec-bearing protocols, via [`DecodedStint::restore_boxed`]).
+    /// The bytes are restored through [`DenseProtocol::agent_stint`] with
+    /// [`StintSource::Saved`] (for codec-bearing protocols, via
+    /// [`DecodedStint::boxed`]).
     /// The census and hashes are *not* serialized: they are pure functions of
     /// the state vector and are rebuilt on restore.
     fn save_stint(&self, out: &mut Vec<u8>);
@@ -367,72 +386,71 @@ impl<P: AgentCodec> DecodedStint<P> {
     pub fn from_counts(codec: P, counts: &[u64], seed: u64) -> Self {
         let n: u64 = counts.iter().sum();
         assert!(n >= 2, "a population needs at least two agents, got {n}");
-        let native = codec.native();
         let mut states = Vec::with_capacity(n as usize);
-        let mut hashes = Vec::with_capacity(n as usize);
-        let mut census = Census::default();
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for (s, &c) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
             let state = codec.decode_agent(s);
-            let h = state_hash(&state);
-            *census.entry(h).or_insert(0) += c;
-            for _ in 0..c {
-                states.push(state.clone());
-                hashes.push(h);
-            }
+            states.extend(std::iter::repeat_n(state, c as usize));
         }
-        let occupied = census.len();
+        Self::from_states(codec, states, seeded_rng(seed), 0)
+    }
+
+    /// A stint over `states` that resumes the schedule from `rng` after
+    /// `interactions` steps; the census, hashes and occupancy counter are
+    /// computed from the states.
+    fn from_states(
+        codec: P,
+        states: Vec<<P::Native as Protocol>::State>,
+        rng: SmallRng,
+        interactions: u64,
+    ) -> Self {
+        let hashes: Vec<u64> = states.iter().map(state_hash).collect();
+        let mut census = Census::default();
+        for &h in &hashes {
+            *census.entry(h).or_insert(0) += 1;
+        }
         DecodedStint {
+            native: codec.native(),
             codec,
-            native,
             states,
             hashes,
+            occupied: census.len(),
             census,
-            occupied,
             scheduler: UniformScheduler::new(),
-            rng: seeded_rng(seed),
-            interactions: 0,
+            rng,
+            interactions,
         }
     }
 
-    /// Boxed construction for [`DenseProtocol::agent_stint`] implementations.
-    #[must_use]
-    pub fn boxed(
-        codec: P,
-        counts: &[u64],
-        seed: u64,
-    ) -> BoxedAgentStint<<P as DenseProtocol>::Output>
-    where
-        <P as DenseProtocol>::Output: 'static,
-        P::Native: 'static,
-        <P::Native as Protocol>::State: PersistState,
-    {
-        Box::new(Self::from_counts(codec, counts, seed))
-    }
-
-    /// Rebuild a stint from bytes written by [`AgentStint::save_stint`] — the
-    /// three-line body of
-    /// [`DenseProtocol::restore_agent_stint`]
-    /// overrides.
-    ///
-    /// The census, hashes, and occupancy counter are pure functions of the
-    /// state vector and are rebuilt here rather than trusted from the bytes.
+    /// Build a boxed stint from `source` — the one-line body of
+    /// [`DenseProtocol::agent_stint`] overrides.  [`StintSource::Counts`]
+    /// expands the configuration ([`Self::from_counts`]);
+    /// [`StintSource::Saved`] rebuilds a stint from
+    /// [`AgentStint::save_stint`] bytes, recomputing the census, hashes and
+    /// occupancy counter from the state vector rather than trusting them.
     ///
     /// # Errors
     ///
     /// [`SimError`] variants describing truncated, trailing, or
-    /// population-degenerate payloads.
-    pub fn restore_boxed(
+    /// population-degenerate saved bytes (a `Counts` source never fails).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::from_counts`] for a `Counts` source.
+    pub fn boxed(
         codec: P,
-        bytes: &[u8],
+        source: StintSource<'_>,
     ) -> Result<BoxedAgentStint<<P as DenseProtocol>::Output>, SimError>
     where
         <P as DenseProtocol>::Output: 'static,
         P::Native: 'static,
         <P::Native as Protocol>::State: PersistState,
     {
+        let bytes = match source {
+            StintSource::Counts { counts, seed } => {
+                return Ok(Box::new(Self::from_counts(codec, counts, seed)))
+            }
+            StintSource::Saved(bytes) => bytes,
+        };
         let mut r = SnapshotReader::new(bytes);
         let interactions = r.read::<u64>()?;
         let rng = unpersist_rng(&mut r)?;
@@ -443,26 +461,12 @@ impl<P: AgentCodec> DecodedStint<P> {
                 reason: format!("per-agent stint population {} is below 2", states.len()),
             });
         }
-        let native = codec.native();
-        let mut hashes = Vec::with_capacity(states.len());
-        let mut census = Census::default();
-        for state in &states {
-            let h = state_hash(state);
-            hashes.push(h);
-            *census.entry(h).or_insert(0) += 1;
-        }
-        let occupied = census.len();
-        Ok(Box::new(DecodedStint {
+        Ok(Box::new(Self::from_states(
             codec,
-            native,
             states,
-            hashes,
-            census,
-            occupied,
-            scheduler: UniformScheduler::new(),
             rng,
             interactions,
-        }))
+        )))
     }
 
     /// The codec this stint decodes/encodes through.
@@ -695,13 +699,16 @@ where
 
 /// The identity codec over dense indices: the "native" state *is* the `u32`
 /// index and stepping goes through [`DenseProtocol::transition`] — for
-/// interned protocols, straight through the interner, exactly like the PR 4
-/// per-agent stint.
+/// interned protocols, straight through the interner.
 ///
-/// The hybrid engine falls back to this codec for protocols that do not
-/// override [`DenseProtocol::agent_stint`], and uses it for every protocol
-/// when [`HybridConfig::interned_stints`](crate::HybridConfig) pins the
-/// comparison baseline.
+/// It serves two engines.  The hybrid engine falls back to
+/// `DecodedStint<IndexCodec<P>>` for protocols that do not override
+/// [`DenseProtocol::agent_stint`] (stint kind `"interned"`), and the
+/// sequential variant of [`DenseSimulator`](crate::DenseSimulator) is a
+/// `Simulator<IndexCodec<P>>`: a `Simulator` over this codec executes
+/// exactly the transition system a `BatchedSimulator<P>` does, so the two
+/// engines differ only in how they sample the schedule, which is what the
+/// equivalence tests exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexCodec<P>(pub P);
 
@@ -841,13 +848,11 @@ mod tests {
     #[test]
     fn stint_matches_the_sequential_simulator_trajectory_exactly() {
         // Same seed, same scheduler, same RNG consumption: the decoded stint
-        // over the identity codec must replicate Simulator<DenseAdapter<_>>
-        // bit for bit — this is what keeps the hybrid engine's interned
-        // fallback trajectory-compatible with the PR 4 behaviour.
-        use crate::dense::DenseAdapter;
+        // over the identity codec must replicate Simulator<IndexCodec<_>>
+        // (the sequential dense engine) bit for bit.
         use crate::simulator::Simulator;
         let n = 300usize;
-        let mut reference = Simulator::new(DenseAdapter(Rumor), n, 42).unwrap();
+        let mut reference = Simulator::new(IndexCodec(Rumor), n, 42).unwrap();
         // The stint lays agents out in state-index order, so the one infected
         // agent sits at the *end* of its vector — lay the reference out the
         // same way so the two per-agent vectors can be compared directly.
@@ -876,7 +881,11 @@ mod tests {
     #[test]
     fn boxed_stints_clone_and_report_their_kind() {
         let counts = vec![5u64, 5];
-        let stint: BoxedAgentStint<bool> = DecodedStint::boxed(IndexCodec(Rumor), &counts, 1);
+        let source = StintSource::Counts {
+            counts: &counts,
+            seed: 1,
+        };
+        let stint: BoxedAgentStint<bool> = DecodedStint::boxed(IndexCodec(Rumor), source).unwrap();
         assert_eq!(stint.kind(), "interned");
         let mut copy = stint.clone();
         copy.run(100);
@@ -885,14 +894,15 @@ mod tests {
     }
 
     #[test]
-    fn save_stint_restore_boxed_round_trips_and_replays_bit_identically() {
+    fn saved_stints_restore_and_replay_bit_identically() {
         let counts = vec![499u64, 1];
         let mut reference = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 11);
         reference.run(1_000);
         let mut bytes = Vec::new();
         reference.save_stint(&mut bytes);
 
-        let mut restored = DecodedStint::restore_boxed(IndexCodec(Rumor), &bytes).unwrap();
+        let mut restored =
+            DecodedStint::boxed(IndexCodec(Rumor), StintSource::Saved(&bytes)).unwrap();
         assert_eq!(restored.interactions(), 1_000);
         assert_eq!(restored.occupied_states(), reference.occupied_states());
         assert_eq!(restored.counts(), reference.counts());
@@ -906,28 +916,19 @@ mod tests {
     }
 
     #[test]
-    fn restore_boxed_rejects_truncated_and_degenerate_payloads() {
+    fn saved_stints_reject_truncated_and_degenerate_payloads() {
         let counts = vec![3u64, 1];
         let stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 0);
         let mut bytes = Vec::new();
         stint.save_stint(&mut bytes);
-        assert!(DecodedStint::restore_boxed(IndexCodec(Rumor), &bytes[..bytes.len() - 1]).is_err());
+        let truncated = StintSource::Saved(&bytes[..bytes.len() - 1]);
+        assert!(DecodedStint::boxed(IndexCodec(Rumor), truncated).is_err());
 
-        let lonely = DecodedStint {
-            codec: IndexCodec(Rumor),
-            native: IndexCodec(Rumor),
-            states: vec![0u32],
-            hashes: vec![state_hash(&0u32)],
-            census: Census::default(),
-            occupied: 1,
-            scheduler: UniformScheduler::new(),
-            rng: seeded_rng(0),
-            interactions: 0,
-        };
+        let lonely = DecodedStint::from_states(IndexCodec(Rumor), vec![0u32], seeded_rng(0), 0);
         let mut bytes = Vec::new();
         lonely.save_stint(&mut bytes);
         assert!(matches!(
-            DecodedStint::restore_boxed(IndexCodec(Rumor), &bytes),
+            DecodedStint::boxed(IndexCodec(Rumor), StintSource::Saved(&bytes)),
             Err(SimError::SnapshotCorrupt { .. })
         ));
     }

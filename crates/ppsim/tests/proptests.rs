@@ -10,7 +10,7 @@ use ppsim::{
     derive_seed, seeded_rng, AdversarialRun, BatchedSimulator, Checkpointable, CorruptionTarget,
     DecodedStint, DenseProtocol, Engine, EngineSnapshot, FaultEvent, FaultKind, FaultPlan,
     HybridSimulator, IndexCodec, InitStrategy, Protocol, ShardedBatchedSimulator, ShardedConfig,
-    Simulator, StateSpaceTracker,
+    Simulator, StateSpaceTracker, StintSource,
 };
 
 /// One-way epidemic on two dense states, for the count-based engines.
@@ -230,7 +230,8 @@ proptest! {
         prop_assert_eq!(sharded.counts().iter().sum::<u64>(), n as u64);
 
         let counts = vec![n as u64 - 1, 1];
-        let mut stint = DecodedStint::boxed(IndexCodec(DenseRumor), &counts, seed);
+        let source = StintSource::Counts { counts: &counts, seed };
+        let mut stint = DecodedStint::boxed(IndexCodec(DenseRumor), source).unwrap();
         stint.run(steps);
         stint.corrupt(k, &mut rng, &mut scribble).unwrap();
         prop_assert_eq!(stint.counts().iter().sum::<u64>(), n as u64);

@@ -1,4 +1,4 @@
-//! Golden-file tests pinning the `ppsim::snapshot` binary format (v2).
+//! Golden-file tests pinning the `ppsim::snapshot` binary format (v3).
 //!
 //! These bytes are a compatibility contract: checkpoints written by one
 //! build must restore in the next.  If a change here is intentional, bump
@@ -8,8 +8,9 @@
 use popcount::{CountExactParams, DenseCountExact};
 use ppsim::snapshot::{crc32, ENGINE_BATCHED, ENGINE_SEQUENTIAL, SNAPSHOT_MAGIC};
 use ppsim::{
-    BatchedSimulator, Checkpointable, DenseProtocol, EngineSnapshot, HybridConfig, HybridSimulator,
-    HybridSubstrate, Protocol, SimError, Simulator, SNAPSHOT_VERSION,
+    BatchedSimulator, Checkpointable, DenseProtocol, DenseSimulator, Engine, EngineSnapshot,
+    HybridConfig, HybridSimulator, HybridSubstrate, Protocol, SimError, Simulator,
+    SNAPSHOT_VERSION,
 };
 use rand::rngs::SmallRng;
 
@@ -62,7 +63,7 @@ fn golden_batched_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "505053530200000002540000000000000004000000000000000200000000000000\
+        "505053530300000002540000000000000004000000000000000200000000000000\
          c3dd56fdc1235e8d08856fa2f7082263d0f294247e8601088c51c766153e44b3\
          070000000000000000000000000000000100000000000000010000000400000000000000401433f7"
     );
@@ -76,8 +77,51 @@ fn golden_sequential_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "50505353020000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
+        "50505353030000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
          8a485b8924b6737ea2782fa36be47f9905000000000000000300000000000000010000703754fb"
+    );
+}
+
+/// The sequential variant of `DenseSimulator` (protocol state plus the
+/// inner per-agent payload), pinned the same way except for the version
+/// field, which must read `SNAPSHOT_VERSION`: everything else must survive
+/// a version bump unchanged.
+#[test]
+fn golden_dense_sequential_snapshot_bytes_are_pinned() {
+    let mut sim = DenseSimulator::new(Engine::Sequential, Rumor, 4, 1).unwrap();
+    sim.transfer(0, 1, 1).unwrap();
+    sim.run(7);
+    let bytes = sim.save_state().to_bytes();
+    assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(
+        format!("{}{}", hex(&bytes[..4]), hex(&bytes[8..])),
+        "50505353\
+         05500000000000000000000000000000004000000000000000\
+         515afa1e8c3cda2ceac288561db0ed7e63ef39218ed02a8159df41396a99c22f\
+         0700000000000000040000000000000001000000000000000000000000000000807df4e9"
+    );
+}
+
+/// The hybrid engine's frame in per-agent mode, pinned the same way: the
+/// configuration and monitor bookkeeping, the one-entry switch log, the
+/// stint kind, and the stint itself (interaction count, RNG, agent states).
+#[test]
+fn golden_hybrid_snapshot_bytes_are_pinned() {
+    let mut sim = HybridSimulator::new(Rumor, 4, 1).unwrap();
+    sim.transfer(0, 1, 1).unwrap();
+    sim.run(3);
+    sim.switch_to_agent().unwrap();
+    sim.run(4);
+    let bytes = sim.save_state().to_bytes();
+    assert_eq!(
+        hex(&bytes),
+        "505053530300000004be00000000000000040000000000000001000000000000\
+         0000000000000000504000000000000020400200000000010000000000000300\
+         0000000000000300000000000000000000000000000000010000000000000000\
+         0000000100000000000000030000000000000000020000000000000000020000\
+         0000000000000140000000000000000400000000000000c228400a6ddd355495\
+         4e431f52798a899f2e82c8b7eabcc1dc37877729e71396040000000000000001\
+         000000010000000100000001000000559c4f9c"
     );
 }
 
@@ -159,17 +203,20 @@ fn future_versions_are_refused() {
     }
 }
 
-/// A frame from an earlier format version is refused the same way: a
-/// reader accepts only its own version, so a v1 checkpoint (whose hybrid
-/// payload held the interner twice) never reaches a v2 decoder.
+/// Frames from earlier format versions are refused the same way: a reader
+/// accepts only its own version, so neither a v1 checkpoint (whose hybrid
+/// payload held the interner twice) nor a v2 one (whose hybrid and staged
+/// payloads carried a stint-mode flag) reaches a v3 decoder.
 #[test]
 fn past_versions_are_refused() {
-    match EngineSnapshot::from_bytes(&frame_with_version(1)) {
-        Err(SimError::SnapshotVersion {
-            found: 1,
-            supported,
-        }) => assert_eq!(supported, SNAPSHOT_VERSION),
-        other => panic!("expected a version mismatch, got {other:?}"),
+    for version in [1, 2] {
+        match EngineSnapshot::from_bytes(&frame_with_version(version)) {
+            Err(SimError::SnapshotVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, SNAPSHOT_VERSION);
+            }
+            other => panic!("expected a version mismatch for v{version}, got {other:?}"),
+        }
     }
 }
 

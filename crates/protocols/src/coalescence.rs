@@ -47,7 +47,7 @@
 use std::sync::Arc;
 
 use ppsim::snapshot::{PersistState, SnapshotReader};
-use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint};
+use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint, StintSource};
 use ppsim::{
     ConservationLaw, ConservedQuantity, DenseProtocol, Protocol, ProtocolInvariants, SimError,
 };
@@ -270,12 +270,11 @@ impl DenseProtocol for StochasticCoalescence {
         Some(self.is_coalesced(counts))
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<u32>> {
-        Some(DecodedStint::boxed(*self, counts, seed))
-    }
-
-    fn restore_agent_stint(&self, bytes: &[u8]) -> Option<Result<BoxedAgentStint<u32>, SimError>> {
-        Some(DecodedStint::restore_boxed(*self, bytes))
+    fn agent_stint(
+        &self,
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<u32>, SimError>> {
+        Some(DecodedStint::boxed(*self, source))
     }
 }
 

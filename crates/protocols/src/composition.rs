@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 
-use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint};
+use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint, StintSource};
 use ppsim::{DenseProtocol, PersistState, Protocol, SimError, SnapshotReader, StateInterner};
 
 use crate::phase_clock::{sync_interact, PhaseClock, SyncState};
@@ -370,8 +370,11 @@ impl<C: SyncedComponent + Clone + Send + Sync + 'static> DenseProtocol for Dense
         Some(self.interner.len())
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<C::Output>> {
-        Some(DecodedStint::boxed(self.clone(), counts, seed))
+    fn agent_stint(
+        &self,
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<C::Output>, SimError>> {
+        Some(DecodedStint::boxed(self.clone(), source))
     }
 
     fn save_protocol_state(&self) -> Vec<u8> {
@@ -388,13 +391,6 @@ impl<C: SyncedComponent + Clone + Send + Sync + 'static> DenseProtocol for Dense
         let states = Vec::<SyncedAgent<C::State>>::unpersist(&mut r)?;
         r.finish()?;
         self.interner.replace_contents(states)
-    }
-
-    fn restore_agent_stint(
-        &self,
-        bytes: &[u8],
-    ) -> Option<Result<BoxedAgentStint<C::Output>, SimError>> {
-        Some(DecodedStint::restore_boxed(self.clone(), bytes))
     }
 }
 
@@ -467,7 +463,7 @@ mod tests {
         let dense = DenseComposition::new(base, 1 << 16);
 
         let mut plain = Simulator::new(base, n, 99).unwrap();
-        let mut interned = Simulator::new(ppsim::DenseAdapter(dense.clone()), n, 99).unwrap();
+        let mut interned = Simulator::new(ppsim::IndexCodec(dense.clone()), n, 99).unwrap();
         for _ in 0..20 {
             plain.run(5_000);
             interned.run(5_000);
@@ -516,7 +512,7 @@ mod tests {
     fn codec_round_trips_and_bisimulates_the_interned_delta_path() {
         // Populate the interner with genuinely reachable states.
         let dense = DenseComposition::new(SyncComposition::new(8, Odometer), 1 << 16);
-        let mut sim = Simulator::new(ppsim::DenseAdapter(dense.clone()), 300, 5).unwrap();
+        let mut sim = Simulator::new(ppsim::IndexCodec(dense.clone()), 300, 5).unwrap();
         sim.run(30_000);
         let discovered = dense.states_discovered();
         assert!(discovered > 10);
@@ -553,9 +549,14 @@ mod tests {
             sim.run(20_000);
             sim.into_counts()
         };
+        let source = StintSource::Counts {
+            counts: &counts_probe,
+            seed: 11,
+        };
         let mut stint = dense
-            .agent_stint(&counts_probe, 11)
-            .expect("composed protocols carry a codec");
+            .agent_stint(source)
+            .expect("composed protocols carry a codec")
+            .unwrap();
         assert_eq!(stint.kind(), "decoded");
         assert_eq!(stint.population(), 4_000);
         let interned_before = dense.states_discovered();

@@ -62,7 +62,7 @@
 use std::sync::Arc;
 
 use ppsim::snapshot::{PersistState, SnapshotReader};
-use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint};
+use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint, StintSource};
 use ppsim::{
     ConservationLaw, ConservedQuantity, DenseProtocol, Protocol, ProtocolInvariants, SimError,
 };
@@ -253,12 +253,11 @@ impl DenseProtocol for HermanTokens {
         Some(self.is_stable(counts))
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<bool>> {
-        Some(DecodedStint::boxed(*self, counts, seed))
-    }
-
-    fn restore_agent_stint(&self, bytes: &[u8]) -> Option<Result<BoxedAgentStint<bool>, SimError>> {
-        Some(DecodedStint::restore_boxed(*self, bytes))
+    fn agent_stint(
+        &self,
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<bool>, SimError>> {
+        Some(DecodedStint::boxed(*self, source))
     }
 }
 

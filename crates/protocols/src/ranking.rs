@@ -53,7 +53,7 @@
 //! [`RankAgent`] structs instead of interned indices.
 
 use ppsim::snapshot::{PersistState, SnapshotReader};
-use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint};
+use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint, StintSource};
 use ppsim::{DenseProtocol, Protocol, SimError};
 use rand::rngs::SmallRng;
 
@@ -137,12 +137,12 @@ impl Protocol for RankingNative {
 ///
 /// ```rust
 /// use ppproto::SelfStabRanking;
-/// use ppsim::{DenseProtocol, Simulator, DenseAdapter};
+/// use ppsim::{DenseProtocol, IndexCodec, Simulator};
 ///
 /// # fn main() -> Result<(), ppsim::SimError> {
 /// let n = 32;
 /// let proto = SelfStabRanking::new(n);
-/// let mut sim = Simulator::new(DenseAdapter(proto.clone()), n, 7)?;
+/// let mut sim = Simulator::new(IndexCodec(proto.clone()), n, 7)?;
 /// // Every agent already starts at rank 0 — the worst legal pile-up.
 /// let outcome = sim.run_until(
 ///     |s| {
@@ -263,12 +263,11 @@ impl DenseProtocol for SelfStabRanking {
         Some(self.is_ranked(counts))
     }
 
-    fn agent_stint(&self, counts: &[u64], seed: u64) -> Option<BoxedAgentStint<u32>> {
-        Some(DecodedStint::boxed(*self, counts, seed))
-    }
-
-    fn restore_agent_stint(&self, bytes: &[u8]) -> Option<Result<BoxedAgentStint<u32>, SimError>> {
-        Some(DecodedStint::restore_boxed(*self, bytes))
+    fn agent_stint(
+        &self,
+        source: StintSource<'_>,
+    ) -> Option<Result<BoxedAgentStint<u32>, SimError>> {
+        Some(DecodedStint::boxed(*self, source))
     }
 }
 

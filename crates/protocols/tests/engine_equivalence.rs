@@ -13,7 +13,7 @@
 //!   level, junta size) must agree in distribution.
 //!
 //! Both engines run the *identical* transition system: the dense protocols
-//! drive the sequential engine through [`DenseAdapter`], so any discrepancy is
+//! drive the sequential engine through [`IndexCodec`], so any discrepancy is
 //! attributable to the schedule sampling, which is exactly what is under test.
 //!
 //! The sharded engine ([`ShardedBatchedSimulator`]) is additionally held to
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 
 use ppproto::{dense_all_inactive, dense_junta_size, dense_max_level, DenseEpidemic, DenseJunta};
 use ppsim::{
-    derive_seed, BatchedSimulator, DenseAdapter, ShardedBatchedSimulator, ShardedConfig, Simulator,
+    derive_seed, BatchedSimulator, IndexCodec, ShardedBatchedSimulator, ShardedConfig, Simulator,
 };
 
 /// A sharded run configuration with `shards` shards on one worker thread
@@ -54,7 +54,7 @@ fn epidemic_time_batched(n: usize, seed: u64) -> u64 {
 
 /// The same run on the sequential engine via the adapter.
 fn epidemic_time_sequential(n: usize, seed: u64) -> u64 {
-    let mut sim = Simulator::new(DenseAdapter(DenseEpidemic), n, seed).unwrap();
+    let mut sim = Simulator::new(IndexCodec(DenseEpidemic), n, seed).unwrap();
     sim.states_mut()[0] = 1;
     sim.run_until(
         |s| s.states().iter().all(|&x| x == 1),
@@ -84,7 +84,7 @@ fn junta_run_batched(n: usize, seed: u64) -> (u64, u8, u64) {
 /// The same junta run on the sequential engine via the adapter.
 fn junta_run_sequential(n: usize, seed: u64) -> (u64, u8, u64) {
     let d = DenseJunta::new();
-    let mut sim = Simulator::new(DenseAdapter(d), n, seed).unwrap();
+    let mut sim = Simulator::new(IndexCodec(d), n, seed).unwrap();
     let t = sim
         .run_until(
             |s| s.states().iter().all(|&idx| !d.decode(idx as usize).active),
