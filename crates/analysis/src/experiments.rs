@@ -19,8 +19,7 @@ use popcount::{
     all_counted, all_estimated, all_estimates_valid, all_exact, all_output_n,
     count_exact_dense_staged, count_exact_dense_staged_checkpointed, valid_estimates, Approximate,
     ApproximateBackup, ApproximateParams, CountExact, CountExactParams, DenseApproximate,
-    DenseCountExact, ExactBackup, StableApproximate, StableCountExact, StagedCheckpoint,
-    TokenMergingCounter,
+    ExactBackup, StableApproximate, StableCountExact, StagedCheckpoint, TokenMergingCounter,
 };
 use ppproto::fast_leader_election::FastLeaderElectionProtocol;
 use ppproto::junta::{all_inactive, junta_size, max_level, JuntaProtocol};
@@ -1342,23 +1341,19 @@ pub fn e19_dense_counting(effort: Effort) -> ExperimentReport {
 
 /// E20 — the hybrid engine on the composed counting protocols: switch
 /// points and interaction counts of the automatic dense ↔ per-agent
-/// migration, against the PR 3 policy of pinning the hand-off at the end of
-/// the approximation stage.
+/// migration.
 ///
-/// Three configurations:
+/// Two workloads:
 ///
-/// * **hybrid (auto)** — `count_exact_dense_staged`: the occupancy
-///   monitor detects the refinement transient by its `q_occ² > c·√n`
-///   signature and migrates on its own; per-agent stints step **native
-///   structs** through the protocol's agent-state codec (no interner traffic
-///   in the hot loop).  Dividing a row's agent interactions by its
-///   *agent-leg s* gives the refinement-leg throughput; the *dense states*
-///   column counts only the boundary configurations the stints intern, not
-///   the `Θ(n)` transient.
-/// * **hybrid (pinned @ ApxDone)** — the monitor's up-switch disabled and
-///   the migration forced exactly where the PR 3 one-shot hand-off fired
-///   (every occupied state `ApxDone`), so the two switch policies are
-///   directly comparable on one substrate.
+/// * **CountExact @ hybrid (auto)** — `count_exact_dense_staged`: the
+///   occupancy monitor detects the refinement transient by its
+///   `q_occ² > c·√n` signature and migrates on its own, with no knowledge of
+///   the protocol's stages; per-agent stints step **native structs**
+///   through the protocol's agent-state codec (no interner traffic in the
+///   hot loop).  Dividing a row's agent interactions by its *agent-leg s*
+///   gives the refinement-leg throughput; the *dense states* column counts
+///   only the boundary configurations the stints intern, not the `Θ(n)`
+///   transient.
 /// * **Approximate @ hybrid** — a dynamic protocol whose census stays
 ///   `O(log n · log log n)`: nothing here *forces* a migration.  At the
 ///   quick-tier `n = 10⁴` the occupancy-to-`√n` ratio is borderline
@@ -1367,12 +1362,11 @@ pub fn e19_dense_counting(effort: Effort) -> ExperimentReport {
 ///   hysteresis keeps them bounded, and at full-tier sizes `√n` outgrows
 ///   the census and the run stays dense.
 ///
-/// Both switch policies sample the same Markov chain (the migration is
-/// exact), so their interaction counts must agree up to seed variance; the
-/// switch *points* differ — the monitor fires a window after the transient
-/// starts, the pinned policy at the stage boundary.  Trials run serially
-/// ([`sweep_with_threads`] with one worker): the hybrid engine brings its
-/// own representation churn and the wall-clocks are the measurement.
+/// The migration is exact, so a row's output must be the exact count
+/// (resp. a valid estimate) whatever the switch points.  Trials run
+/// serially ([`sweep_with_threads`] with one worker): the hybrid engine
+/// brings its own representation churn and the wall-clocks are the
+/// measurement.
 pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
     use std::sync::Mutex;
     use std::time::Instant;
@@ -1479,72 +1473,6 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
         })
     };
 
-    // CountExact with the hand-off pinned at the PR 3 policy (ApxDone
-    // everywhere): the monitor's up-switch is parked out of reach, the
-    // migration is forced at the stage boundary.
-    let run_pinned = |n: usize, master: u64| -> RichOutcome {
-        run_rich(n, master, &|n, seed| {
-            let start = Instant::now();
-            let params = CountExactParams::dense_at_scale(n);
-            let proto = DenseCountExact::with_capacity(params, CountExactParams::dense_capacity(n));
-            let handle = proto.clone();
-            let mut sim = ppsim::HybridSimulator::with_config(
-                proto,
-                n,
-                seed,
-                ppsim::HybridConfig {
-                    // Park both thresholds out of reach: the only migration
-                    // is the forced one at the stage boundary (a down-switch
-                    // left active would fire right after the pin, while the
-                    // refinement census is still narrow).
-                    switch_up: f64::INFINITY,
-                    switch_down: 0.0,
-                    ..ppsim::HybridConfig::default()
-                },
-            )
-            .unwrap();
-            let check_every = (n as u64) * 20;
-            let budget = (n as u64).saturating_mul(300_000);
-            let stage12 = sim.run_until(
-                |s| {
-                    // Indices are interned in first-appearance order, so the
-                    // check scans only the discovered prefix of the
-                    // capacity-sized counts slice — the same O(census) cost
-                    // profile as the auto policy's monitor probes.
-                    s.as_dense_counts().is_some_and(|counts| {
-                        let census = handle.states_discovered().min(counts.len());
-                        counts[..census]
-                            .iter()
-                            .enumerate()
-                            .all(|(st, &c)| c == 0 || handle.decode(st).stage.apx_done)
-                    })
-                },
-                check_every,
-                budget,
-            );
-            let converged = stage12.converged() && {
-                sim.switch_to_agent().expect("manual migration");
-                let o = sim.run_until(
-                    |s| s.output_stats().unanimous().is_some_and(|o| o.is_some()),
-                    check_every,
-                    budget,
-                );
-                o.converged() && sim.output_stats().unanimous() == Some(&Some(n as u64))
-            };
-            RichOutcome {
-                n,
-                converged,
-                interactions: sim.interactions(),
-                dense: sim.dense_interactions(),
-                agent: sim.agent_interactions(),
-                switches: sim.switches().iter().map(|e| e.interactions).collect(),
-                states: handle.states_discovered(),
-                agent_seconds: sim.agent_seconds(),
-                seconds: start.elapsed().as_secs_f64(),
-            }
-        })
-    };
-
     // Approximate on the hybrid engine: nothing forces a migration here —
     // the monitor's behaviour near the occupancy/sqrt(n) boundary is the
     // measurement (see the experiment docs).
@@ -1579,12 +1507,6 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
     for (si, &n) in exact_sizes.iter().enumerate() {
         let auto = run_auto(n, 0xE20 + 10 * si as u64);
         push(&mut table, "CountExact @ hybrid (auto)", &auto);
-        let pinned = run_pinned(n, 0xE20 + 10 * si as u64 + 5);
-        push(
-            &mut table,
-            "CountExact @ hybrid (pinned @ ApxDone)",
-            &pinned,
-        );
     }
     for (si, &n) in approx_sizes.iter().enumerate() {
         let approx = run_approximate(n, 0xE20 + 100 + 10 * si as u64);
@@ -1593,9 +1515,10 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
 
     ExperimentReport {
         id: "E20",
-        claim: "the hybrid engine finds the CountExact refinement hand-off on its own — total \
-                interactions within 10% of the pinned-at-ApxDone policy — and its hysteresis \
-                keeps every migration bounded and monitor-spaced",
+        claim: "the hybrid engine finds the CountExact refinement hand-off on its own — the \
+                output is the exact count, with the switch points where the monitor saw the \
+                refinement transient — and its hysteresis keeps every migration bounded and \
+                monitor-spaced",
         table,
     }
 }

@@ -431,15 +431,6 @@ impl ppsim::stint::AgentCodec for DenseApproximateBackup {
         self.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<ApproximateBackupState> {
-        use ppsim::DenseProtocol as _;
-        if index < self.num_states() {
-            Some(self.decode(index))
-        } else {
-            None
-        }
-    }
-
     fn encode_agent(&self, state: &ApproximateBackupState) -> usize {
         self.encode(*state)
     }

@@ -44,8 +44,8 @@ use std::path::{Path, PathBuf};
 
 use ppsim::snapshot::ENGINE_COMPOSITE_BASE;
 use ppsim::{
-    Checkpointable, Engine, EngineSnapshot, HybridConfig, HybridSimulator, HybridSubstrate,
-    PersistState, SimError, Simulator,
+    Checkpointable, Engine, EngineSnapshot, HybridSimulator, HybridSubstrate, PersistState,
+    SimError, Simulator,
 };
 
 use crate::params::CountExactParams;
@@ -234,15 +234,7 @@ pub fn count_exact_dense_staged_checkpointed(
 
     let proto = DenseCountExact::with_capacity(params, CountExactParams::dense_capacity(n));
     let handle = proto.clone(); // shares the interner: state census + decode
-    let mut sim = HybridSimulator::with_config(
-        proto,
-        n,
-        seed,
-        HybridConfig {
-            substrate,
-            ..HybridConfig::default()
-        },
-    )?;
+    let mut sim = HybridSimulator::with_substrate(proto, n, seed, substrate)?;
     if let Some((kind, inner)) = &resumed {
         expect_kind(*kind, KIND_HYBRID)?;
         sim.restore_state(inner)?;

@@ -345,7 +345,7 @@ fn monitor_hysteresis_band_is_quiet_under_oscillating_occupancy() {
     // Occupancy oscillating anywhere inside the (down·√n, up·√n] pressure
     // band — however violently — never migrates.
     let n = 10_000u64; // √n = 100: band is q_occ² ∈ (800, 6400], q_occ ∈ (29, 80]
-    let mut monitor = OccupancyMonitor::new(n, 64.0, 8.0, 2);
+    let mut monitor = OccupancyMonitor::new(n);
     for i in 0..10_000usize {
         let occ = if i % 2 == 0 { 30 } else { 80 };
         assert_eq!(monitor.observe(occ), None);

@@ -19,6 +19,11 @@
 //! keep the batched engine.  [`DenseSimulator`] is the enum-dispatched
 //! simulator the experiment harness and benchmark tooling drive, so engine
 //! choice is a CLI argument rather than a code path.
+//!
+//! The sequential variant and the hybrid engine's per-agent stint share
+//! their per-agent configuration code (expanding counts in state-index
+//! order, counting, moving and corrupting agents; see [`crate::stint`]), so
+//! driven alike they hold equal agent vectors.
 
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
@@ -31,10 +36,9 @@ use crate::simulator::Simulator;
 use crate::snapshot::{
     Checkpointable, EngineSnapshot, PersistState, ENGINE_DENSE_SEQUENTIAL, ENGINE_SEQUENTIAL,
 };
-use crate::stint::IndexCodec;
+use crate::stint::{corrupt_agents, count_agents, expand_counts, transfer_agents, IndexCodec};
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Population size below which the sequential engine out-runs the batched
 /// one: per-interaction cost beats per-block overhead while blocks are short
@@ -88,8 +92,8 @@ pub enum Engine {
         /// (see [`ShardedConfig::threads`]).
         threads: usize,
     },
-    /// The auto-switching hybrid engine ([`HybridSimulator`], batched
-    /// substrate, default occupancy monitor).
+    /// The auto-switching hybrid engine ([`HybridSimulator`] on the batched
+    /// substrate).
     Hybrid,
     /// Choose automatically from the population size and the protocol:
     /// sequential below [`SEQUENTIAL_CROSSOVER`]; at and above it, hybrid
@@ -287,11 +291,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn count_of(&self, state: usize) -> u64 {
         match self {
-            DenseSimulator::Sequential(s) => s
-                .states()
-                .iter()
-                .filter(|&&st| st as usize == state)
-                .count() as u64,
+            DenseSimulator::Sequential(s) => count_agents(s.protocol(), s.states(), state),
             DenseSimulator::Batched(s) => s.count_of(state),
             DenseSimulator::Sharded(s) => s.count_of(state),
             DenseSimulator::Hybrid(s) => s.count_of(state),
@@ -336,33 +336,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let q = s.protocol().0.num_states();
-                if from >= q || to >= q {
-                    return Err(SimError::InvalidParameter {
-                        name: "transfer",
-                        reason: format!("states ({from}, {to}) outside the state space 0..{q}"),
-                    });
-                }
-                let available = s.states().iter().filter(|&&st| st as usize == from).count() as u64;
-                if available < k {
-                    return Err(SimError::InvalidParameter {
-                        name: "transfer",
-                        reason: format!(
-                            "cannot move {k} agents out of state {from} holding {available}"
-                        ),
-                    });
-                }
-                let mut moved = 0u64;
-                for st in s.states_mut() {
-                    if moved == k {
-                        break;
-                    }
-                    if *st as usize == from {
-                        *st = to as u32;
-                        moved += 1;
-                    }
-                }
-                Ok(())
+                let codec = s.protocol().clone();
+                transfer_agents(&codec, s.states_mut(), from, to, k, |_, _| {})
             }
             DenseSimulator::Batched(s) => s.transfer(from, to, k),
             DenseSimulator::Sharded(s) => s.transfer(from, to, k),
@@ -383,9 +358,9 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
 
     /// Replace the whole configuration — the entry point of adversarial
     /// initialization ([`crate::adversary::InitStrategy`]).  The sequential
-    /// engine rewrites its per-agent states in state-index order (the same
-    /// fixed layout the hybrid hand-off uses); the counts engines swap their
-    /// count vectors.
+    /// engine rewrites its per-agent states in state-index order (the hybrid
+    /// hand-off's layout, from the same per-agent code as the stint); the
+    /// counts engines swap their count vectors.
     ///
     /// # Errors
     ///
@@ -396,11 +371,10 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
             DenseSimulator::Sequential(s) => {
                 check_counts(&counts, s.protocol().0.num_states(), s.population() as u64)?;
                 // The counts sum to the population, so they fill every slot.
-                let mut slots = s.states_mut().iter_mut();
-                for (state, &c) in counts.iter().enumerate() {
-                    for slot in slots.by_ref().take(c as usize) {
-                        *slot = state as u32;
-                    }
+                let codec = s.protocol().clone();
+                let slots = s.states_mut().iter_mut();
+                for (slot, state) in slots.zip(expand_counts(&codec, &counts)) {
+                    *slot = state;
                 }
                 Ok(())
             }
@@ -432,32 +406,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     ) -> Result<(), SimError> {
         match self {
             DenseSimulator::Sequential(s) => {
-                let q = s.protocol().0.num_states();
-                let n = s.population();
-                if k > n as u64 {
-                    return Err(SimError::InvalidParameter {
-                        name: "corrupt",
-                        reason: format!("cannot corrupt {k} of {n} agents"),
-                    });
-                }
-                // Partial Fisher–Yates: after `k` swap steps the prefix of
-                // `idx` is a uniform k-subset of the agents.
-                let mut idx: Vec<usize> = (0..n).collect();
-                for v in 0..k as usize {
-                    let swap = v + rng.gen_range(0..n - v);
-                    idx.swap(v, swap);
-                    let victim = idx[v];
-                    let current = s.states()[victim] as usize;
-                    let to = new_state(current, rng);
-                    if to >= q {
-                        return Err(SimError::InvalidParameter {
-                            name: "corrupt",
-                            reason: format!("target state {to} outside the state space 0..{q}"),
-                        });
-                    }
-                    s.states_mut()[victim] = to as u32;
-                }
-                Ok(())
+                let codec = s.protocol().clone();
+                corrupt_agents(&codec, s.states_mut(), k, rng, new_state, |_, _| {})
             }
             DenseSimulator::Batched(s) => s.corrupt(k, rng, new_state),
             DenseSimulator::Sharded(s) => s.corrupt(k, rng, new_state),
@@ -766,6 +716,29 @@ mod tests {
             batched.restore_state(&snap),
             Err(SimError::SnapshotMismatch { .. })
         ));
+    }
+
+    /// A corruption that fails part-way leaves the agents it already moved
+    /// where they are, and every engine reports that configuration.
+    #[test]
+    fn a_failed_corrupt_reports_the_agents_it_moved_on_every_engine() {
+        for engine in [
+            Engine::Sequential,
+            Engine::Batched,
+            Engine::Sharded {
+                shards: 4,
+                threads: 1,
+            },
+            Engine::Hybrid,
+        ] {
+            let mut sim = DenseSimulator::new(engine, Rumor, 4_000, 3).unwrap();
+            // The first victim moves to state 1; the second target is invalid.
+            let mut targets = [1, 99].into_iter();
+            let mut new_state = |_: usize, _: &mut SmallRng| targets.next().unwrap_or(99);
+            let result = sim.corrupt(2, &mut crate::rng::seeded_rng(8), &mut new_state);
+            assert!(result.is_err(), "{}", engine.name());
+            assert_eq!(sim.counts(), vec![3_999, 1], "{}", engine.name());
+        }
     }
 
     #[test]

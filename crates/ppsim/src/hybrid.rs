@@ -14,19 +14,22 @@
 //! A collision-free block advances `Θ(√n)` interactions for `O(q_occ²)` work
 //! (`q_occ` = occupied states), so the dense engine's per-interaction cost is
 //! `≈ q_occ²/√n` against the per-agent engine's `O(1)`.  The monitor
-//! therefore compares `q_occ²` with `c·√n`:
+//! observes `q_occ` every `max(n/4, 256)` interactions, in either mode, and
+//! compares `q_occ²` with `c·√n`:
 //!
-//! * **dense → per-agent** when `q_occ² > switch_up·√n` holds for `window`
-//!   consecutive observations;
-//! * **per-agent → dense** when `q_occ² < switch_down·√n` holds for `window`
-//!   consecutive observations.
+//! * **dense → per-agent** when `q_occ² > 64·√n` holds for 2 consecutive
+//!   observations;
+//! * **per-agent → dense** when `q_occ² < 8·√n` holds for 2 consecutive
+//!   observations.
 //!
-//! `switch_down` sits well below `switch_up` (8 vs 64 by default), so a
-//! workload whose occupancy oscillates inside the `[down, up]` band never
-//! switches at all, and one that crosses a threshold must *sustain* the
-//! crossing for a full window — two independent hysteresis mechanisms that
-//! keep oscillating workloads from thrashing (see [`OccupancyMonitor`] for
-//! the isolated, property-tested decision rule).
+//! The rule is fixed: its four numbers are constants of this module, and
+//! the only choice a caller makes is the dense substrate
+//! ([`HybridSubstrate`]).  The down-threshold sits well below the
+//! up-threshold, so a workload whose occupancy oscillates inside the band
+//! between them never switches at all, and one that crosses a threshold
+//! must *sustain* the crossing for a full window — two independent
+//! hysteresis mechanisms that keep oscillating workloads from thrashing (see
+//! [`OccupancyMonitor`] for the isolated, property-tested decision rule).
 //!
 //! # The per-agent stint: decoded structs, not interned indices
 //!
@@ -58,13 +61,13 @@
 //! randomness source changes at a switch — exactly as it does between the
 //! batched and sequential engines in the equivalence suites — so a hybrid
 //! run samples the same stochastic process, and trajectories are
-//! `(protocol, n, seed)`-deterministic for a fixed engine configuration and
-//! driving pattern.
+//! `(protocol, n, seed)`-deterministic for a fixed substrate and driving
+//! pattern.
 //!
 //! # Example
 //!
 //! ```rust
-//! use ppsim::{DenseProtocol, HybridConfig, HybridSimulator};
+//! use ppsim::{DenseProtocol, HybridSimulator};
 //!
 //! /// One-way epidemic: two states, occupancy never grows — the monitor
 //! /// keeps the run dense from start to finish.
@@ -115,7 +118,30 @@ const SWITCH_SALT: u64 = 0x48_59_42;
 /// while staying a pure function of snapshot-persisted state.
 const SETCOUNT_SALT: u64 = 0x53_43_43;
 
-/// Which count-based substrate the hybrid engine's dense mode runs on.
+/// Migrate dense → per-agent once `q_occ² > SWITCH_UP · √n` is sustained.
+/// 64 places the switch where a block's `O(q_occ²)` class work costs ~64
+/// evaluations per interaction advanced — conservatively past the measured
+/// per-agent cost of interned protocols.
+const SWITCH_UP: f64 = 64.0;
+
+/// Migrate per-agent → dense once `q_occ² < SWITCH_DOWN · √n` is sustained.
+/// The gap to [`SWITCH_UP`] is the hysteresis band.
+const SWITCH_DOWN: f64 = 8.0;
+
+/// Consecutive observations a threshold crossing must persist for before a
+/// migration fires.
+const WINDOW: u32 = 2;
+
+/// Interactions between occupancy observations, `max(n/4, 256)`.  Both modes
+/// observe at this spacing: the dense engines keep an occupied-state list
+/// and the per-agent stint maintains its census incrementally, so an
+/// observation is `O(q_occ)` resp. `O(1)` in either representation.
+fn monitor_every(n: u64) -> u64 {
+    (n / 4).max(256)
+}
+
+/// Which count-based substrate the hybrid engine's dense mode runs on — the
+/// engine's one setting ([`HybridSimulator::with_substrate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HybridSubstrate {
     /// The single-threaded batched engine ([`BatchedSimulator`]).
@@ -127,44 +153,6 @@ pub enum HybridSubstrate {
         /// Worker threads; `0` = available parallelism.
         threads: usize,
     },
-}
-
-/// Configuration of the [`HybridSimulator`]'s occupancy monitor and dense
-/// substrate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HybridConfig {
-    /// The count-based engine serving dense mode.
-    pub substrate: HybridSubstrate,
-    /// Migrate dense → per-agent once `q_occ² > switch_up · √n` is sustained.
-    /// The default 64 places the switch where a block's `O(q_occ²)` class
-    /// work costs ~64 evaluations per interaction advanced — conservatively
-    /// past the measured per-agent cost of interned protocols.
-    pub switch_up: f64,
-    /// Migrate per-agent → dense once `q_occ² < switch_down · √n` is
-    /// sustained.  Must be below [`switch_up`](Self::switch_up); the gap is
-    /// the hysteresis band.
-    pub switch_down: f64,
-    /// Consecutive observations a threshold crossing must persist for before
-    /// a migration fires.
-    pub window: u32,
-    /// Interactions between occupancy observations (`None` =
-    /// `max(n/4, 256)`).  Both modes observe at this spacing: the dense
-    /// engines keep an occupied-state list and the per-agent stint maintains
-    /// its census incrementally, so an observation is `O(q_occ)` resp.
-    /// `O(1)` in either representation.
-    pub monitor_every: Option<u64>,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            substrate: HybridSubstrate::Batched,
-            switch_up: 64.0,
-            switch_down: 8.0,
-            window: 2,
-            monitor_every: None,
-        }
-    }
 }
 
 /// Which representation the hybrid engine migrated *to*.
@@ -251,44 +239,31 @@ pub struct SwitchEvent {
 /// simulators so the no-thrash property can be tested directly: feed it a
 /// sequence of occupancy observations and it says when to migrate.
 ///
-/// Invariants (property-tested in this module and in
+/// The rule is the module's fixed one: up at `q_occ² > 64·√n`, down at
+/// `q_occ² < 8·√n`, each after 2 consecutive observations.  Invariants
+/// (property-tested in this module and in
 /// `crates/core/tests/dense_equivalence.rs`):
 ///
 /// * an occupancy sequence that stays inside the `(down, up]` thresholds
 ///   band never triggers a migration, whatever came before;
-/// * a migration requires `window` *consecutive* observations beyond the
-///   relevant threshold, so a single outlier observation never switches.
+/// * a migration requires 2 *consecutive* observations beyond the relevant
+///   threshold, so a single outlier observation never switches.
 #[derive(Debug, Clone)]
 pub struct OccupancyMonitor {
     up_threshold: f64,
     down_threshold: f64,
-    window: u32,
     dense: bool,
     streak: u32,
 }
 
 impl OccupancyMonitor {
     /// A monitor for population size `n` starting in dense mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `switch_down >= switch_up` (the hysteresis band would be
-    /// empty or inverted) or `window == 0`.
     #[must_use]
-    pub fn new(n: u64, switch_up: f64, switch_down: f64, window: u32) -> Self {
-        assert!(
-            switch_down < switch_up,
-            "hysteresis needs switch_down ({switch_down}) < switch_up ({switch_up})"
-        );
-        assert!(
-            window > 0,
-            "a zero observation window would switch on noise"
-        );
+    pub fn new(n: u64) -> Self {
         let sqrt_n = (n as f64).sqrt();
         OccupancyMonitor {
-            up_threshold: switch_up * sqrt_n,
-            down_threshold: switch_down * sqrt_n,
-            window,
+            up_threshold: SWITCH_UP * sqrt_n,
+            down_threshold: SWITCH_DOWN * sqrt_n,
             dense: true,
             streak: 0,
         }
@@ -314,7 +289,7 @@ impl OccupancyMonitor {
             return None;
         }
         self.streak += 1;
-        if self.streak < self.window {
+        if self.streak < WINDOW {
             return None;
         }
         self.streak = 0;
@@ -369,7 +344,7 @@ pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
     protocol: P,
     n: u64,
     seed: u64,
-    config: HybridConfig,
+    substrate: HybridSubstrate,
     monitor: OccupancyMonitor,
     mode: Mode<P>,
     /// Interactions accumulated by representations already retired; the live
@@ -389,7 +364,6 @@ pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
     agent_timed: u64,
     /// Absolute interaction count of the next occupancy observation.
     next_observation: u64,
-    monitor_every: u64,
     switches: Vec<SwitchEvent>,
     /// The stepping representation of the most recent per-agent stint
     /// (`"decoded"` or `"interned"`); `None` before the first migration.
@@ -399,68 +373,35 @@ pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
 }
 
 impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
-    /// Create a hybrid simulator with the default configuration (batched
-    /// substrate, `64/8·√n` thresholds, window 2).
+    /// Create a hybrid simulator on the batched substrate.
     ///
     /// # Errors
     ///
     /// Propagates the substrate constructor's errors
     /// ([`SimError::PopulationTooSmall`], [`SimError::InvalidParameter`]).
     pub fn new(protocol: P, n: usize, seed: u64) -> Result<Self, SimError> {
-        Self::with_config(protocol, n, seed, HybridConfig::default())
+        Self::with_substrate(protocol, n, seed, HybridSubstrate::Batched)
     }
 
-    /// Create a hybrid simulator with an explicit monitor/substrate
-    /// configuration.
+    /// Create a hybrid simulator whose dense mode runs on `substrate`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] if the hysteresis thresholds
-    /// are inverted (`switch_down >= switch_up`), `window == 0`, or
-    /// `monitor_every == Some(0)`, and propagates the substrate
-    /// constructor's errors.
-    pub fn with_config(
+    /// Propagates the substrate constructor's errors
+    /// ([`SimError::PopulationTooSmall`], [`SimError::InvalidParameter`]).
+    pub fn with_substrate(
         protocol: P,
         n: usize,
         seed: u64,
-        config: HybridConfig,
+        substrate: HybridSubstrate,
     ) -> Result<Self, SimError> {
-        if config.switch_down >= config.switch_up {
-            return Err(SimError::InvalidParameter {
-                name: "switch_down",
-                reason: format!(
-                    "hysteresis needs switch_down ({}) < switch_up ({})",
-                    config.switch_down, config.switch_up
-                ),
-            });
-        }
-        if config.window == 0 {
-            return Err(SimError::InvalidParameter {
-                name: "window",
-                reason: "a zero observation window would switch on noise".into(),
-            });
-        }
-        if config.monitor_every == Some(0) {
-            return Err(SimError::InvalidParameter {
-                name: "monitor_every",
-                reason: "a zero monitor interval would probe the occupancy after \
-                         every single interaction"
-                    .into(),
-            });
-        }
-        let mode = Self::dense_mode(&protocol, n, seed, config.substrate, None)?;
-        let monitor_every = config.monitor_every.unwrap_or(((n as u64) / 4).max(256));
+        let mode = Self::dense_mode(&protocol, n, seed, substrate, None)?;
         Ok(HybridSimulator {
-            monitor: OccupancyMonitor::new(
-                n as u64,
-                config.switch_up,
-                config.switch_down,
-                config.window,
-            ),
+            monitor: OccupancyMonitor::new(n as u64),
             protocol,
             n: n as u64,
             seed,
-            config,
+            substrate,
             mode,
             completed: 0,
             dense_total: 0,
@@ -469,15 +410,14 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             agent_secs: 0.0,
             dense_timed: 0,
             agent_timed: 0,
-            next_observation: monitor_every,
-            monitor_every,
+            next_observation: monitor_every(n as u64),
             switches: Vec::new(),
             stint_kind: None,
             fault: None,
         })
     }
 
-    /// Construct the configured dense substrate, optionally seeded with an
+    /// Construct the chosen dense substrate, optionally seeded with an
     /// existing configuration.
     fn dense_mode(
         protocol: &P,
@@ -738,8 +678,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     /// configuration replacement ([`Self::set_counts`], [`Self::corrupt`] —
     /// in particular an adversarial initialization at `n ≥ 10⁵`, which
     /// occupies `Θ(n)` of the `Θ(n)` states) is exact evidence; waiting
-    /// `monitor_every = max(n/4, 256)` interactions for the next scheduled
-    /// observation would cost `O(q_occ²)` per `Θ(√n)`-interaction block in
+    /// `max(n/4, 256)` interactions for the next scheduled observation would
+    /// cost `O(q_occ²)` per `Θ(√n)`-interaction block in
     /// the meantime — an effective hang, not a slowdown.  A migration
     /// failure parks in [`Self::fault`], exactly like a monitor-driven one.
     fn flee_degenerate_configuration(&mut self) {
@@ -797,8 +737,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
 
     /// Migrate to the per-agent representation now, regardless of the
     /// monitor (no-op when already per-agent).  Exposed for the round-trip
-    /// tests and for experiments that want to pin the switch point; the
-    /// monitor keeps running afterwards and may migrate back.
+    /// tests and for timing a migration in the benchmark; the monitor keeps
+    /// running afterwards and may migrate back.
     ///
     /// # Errors
     ///
@@ -861,7 +801,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
                     &self.protocol,
                     self.n as usize,
                     switch_seed,
-                    self.config.substrate,
+                    self.substrate,
                     Some(counts),
                 )?
             }
@@ -930,11 +870,11 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
                 }
             }
         }
-        self.next_observation = self.interactions() + self.monitor_every;
+        self.next_observation = self.interactions() + monitor_every(self.n);
     }
 
     /// Execute `budget` further interactions unconditionally, observing the
-    /// occupancy (and possibly migrating) at the configured cadence.
+    /// occupancy (and possibly migrating) every `max(n/4, 256)` interactions.
     pub fn run(&mut self, budget: u64) {
         let target = self.interactions() + budget;
         while self.interactions() < target {
@@ -1036,9 +976,6 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// u64            population n
 /// u64            seed (drives future switch-seed derivation)
 /// u8             substrate tag (0 batched, 1 sharded) [+ u64 shards, u64 threads]
-/// f64 × 2        switch_up, switch_down
-/// u32            window
-/// u64            resolved monitor_every
 /// u64 × 4        completed, dense_total, agent_total, next_observation
 /// bool, u32      monitor mode flag, monitor streak
 /// switch log     count + (interactions, direction, occupied, discovered?) each
@@ -1057,9 +994,9 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// equality a valid trajectory-equality check (the fault-injection harness
 /// relies on it).
 ///
-/// Configuration fields that shape the trajectory (population, substrate,
-/// thresholds, window, monitor cadence) are validated against the restore
-/// target; the thread budget is not (it never shapes the trajectory).  A
+/// The fields that shape the trajectory (population and substrate, with its
+/// shard count) are validated against the restore target; the thread budget
+/// is not (it never shapes the trajectory).  A
 /// per-agent snapshot must hold the kind of stint this protocol builds
 /// (`"decoded"` through its codec, `"interned"` without one); a stint of
 /// the other kind fails with [`SimError::SnapshotMismatch`] once its bytes
@@ -1069,7 +1006,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         let mut payload = Vec::new();
         self.n.persist(&mut payload);
         self.seed.persist(&mut payload);
-        match self.config.substrate {
+        match self.substrate {
             HybridSubstrate::Batched => 0u8.persist(&mut payload),
             HybridSubstrate::Sharded { shards, threads } => {
                 1u8.persist(&mut payload);
@@ -1077,10 +1014,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 threads.persist(&mut payload);
             }
         }
-        self.config.switch_up.persist(&mut payload);
-        self.config.switch_down.persist(&mut payload);
-        self.config.window.persist(&mut payload);
-        self.monitor_every.persist(&mut payload);
         self.completed.persist(&mut payload);
         self.dense_total.persist(&mut payload);
         self.agent_total.persist(&mut payload);
@@ -1136,10 +1069,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 })
             }
         };
-        let switch_up = r.read::<f64>()?;
-        let switch_down = r.read::<f64>()?;
-        let window = r.read::<u32>()?;
-        let monitor_every = r.read::<u64>()?;
         let completed = r.read::<u64>()?;
         let dense_total = r.read::<u64>()?;
         let agent_total = r.read::<u64>()?;
@@ -1179,7 +1108,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 reason: format!("snapshot population {n} != simulator population {}", self.n),
             });
         }
-        let config_matches = match (substrate, self.config.substrate) {
+        let substrate_matches = match (substrate, self.substrate) {
             (HybridSubstrate::Batched, HybridSubstrate::Batched) => true,
             // The shard partition shapes the trajectory; the thread budget
             // does not.
@@ -1188,22 +1117,13 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 HybridSubstrate::Sharded { shards: b, .. },
             ) => a == b,
             _ => false,
-        } && switch_up.to_bits() == self.config.switch_up.to_bits()
-            && switch_down.to_bits() == self.config.switch_down.to_bits()
-            && window == self.config.window
-            && monitor_every == self.monitor_every;
-        if !config_matches {
+        };
+        if !substrate_matches {
             return Err(SimError::SnapshotMismatch {
                 reason: format!(
-                    "snapshot was taken under a different hybrid configuration \
-                     (substrate/thresholds/window/cadence): snapshot ({substrate:?}, \
-                     {switch_up}/{switch_down}, window {window}, every {monitor_every}) vs \
-                     simulator ({:?}, {}/{}, window {}, every {})",
-                    self.config.substrate,
-                    self.config.switch_up,
-                    self.config.switch_down,
-                    self.config.window,
-                    self.monitor_every
+                    "snapshot was taken on a different hybrid substrate: snapshot \
+                     {substrate:?} vs simulator {:?}",
+                    self.substrate
                 ),
             });
         }
@@ -1213,13 +1133,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         self.protocol.restore_protocol_state(&protocol_bytes)?;
         let mode = match mode_tag {
             MODE_DENSE => {
-                let mut mode = Self::dense_mode(
-                    &self.protocol,
-                    self.n as usize,
-                    seed,
-                    self.config.substrate,
-                    None,
-                )?;
+                let mut mode =
+                    Self::dense_mode(&self.protocol, self.n as usize, seed, self.substrate, None)?;
                 let mut core = SnapshotReader::new(&mode_bytes);
                 match &mut mode {
                     Mode::Batched(s) => s.restore_core(&mut core, false)?,
@@ -1402,40 +1317,19 @@ mod tests {
         assert_eq!(sa, sb, "switch points are seed-deterministic");
     }
 
+    /// The sharded substrate the tests run on.
+    const SHARDED: HybridSubstrate = HybridSubstrate::Sharded {
+        shards: 2,
+        threads: 1,
+    };
+
     #[test]
     fn sharded_substrate_drives_the_same_process() {
-        let config = HybridConfig {
-            substrate: HybridSubstrate::Sharded {
-                shards: 2,
-                threads: 1,
-            },
-            ..HybridConfig::default()
-        };
-        let mut sim = HybridSimulator::with_config(Rumor, 10_000, 11, config).unwrap();
+        let mut sim = HybridSimulator::with_substrate(Rumor, 10_000, 11, SHARDED).unwrap();
         sim.transfer(0, 1, 1).unwrap();
         let outcome = sim.run_until(|s| s.count_of(1) == 10_000, 10_000, u64::MAX >> 1);
         assert!(outcome.converged());
         assert!(sim.switches().is_empty());
-    }
-
-    #[test]
-    fn invalid_hysteresis_is_rejected() {
-        let inverted = HybridConfig {
-            switch_up: 4.0,
-            switch_down: 8.0,
-            ..HybridConfig::default()
-        };
-        assert!(HybridSimulator::with_config(Rumor, 100, 0, inverted).is_err());
-        let zero_window = HybridConfig {
-            window: 0,
-            ..HybridConfig::default()
-        };
-        assert!(HybridSimulator::with_config(Rumor, 100, 0, zero_window).is_err());
-        let zero_monitor = HybridConfig {
-            monitor_every: Some(0),
-            ..HybridConfig::default()
-        };
-        assert!(HybridSimulator::with_config(Rumor, 100, 0, zero_monitor).is_err());
     }
 
     #[test]
@@ -1504,26 +1398,19 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_works_on_the_sharded_substrate() {
-        let config = HybridConfig {
-            substrate: HybridSubstrate::Sharded {
-                shards: 2,
-                threads: 1,
-            },
-            ..HybridConfig::default()
-        };
         // Trajectories are a function of the chunk schedule too, so the
         // reference replays the exact `run` calls the victim + resumed pair
         // make between them.
-        let mut reference = HybridSimulator::with_config(Rumor, 4_096, 11, config).unwrap();
+        let mut reference = HybridSimulator::with_substrate(Rumor, 4_096, 11, SHARDED).unwrap();
         reference.transfer(0, 1, 1).unwrap();
         reference.run(10_000);
         reference.run(20_000);
 
-        let mut victim = HybridSimulator::with_config(Rumor, 4_096, 11, config).unwrap();
+        let mut victim = HybridSimulator::with_substrate(Rumor, 4_096, 11, SHARDED).unwrap();
         victim.transfer(0, 1, 1).unwrap();
         victim.run(10_000);
         let snap = victim.save_state();
-        let mut resumed = HybridSimulator::with_config(Rumor, 4_096, 11, config).unwrap();
+        let mut resumed = HybridSimulator::with_substrate(Rumor, 4_096, 11, SHARDED).unwrap();
         resumed.restore_state(&snap).unwrap();
         resumed.run(20_000);
         assert_eq!(
@@ -1577,26 +1464,8 @@ mod tests {
             Err(SimError::SnapshotMismatch { .. })
         ));
 
-        let other_cfg = HybridConfig {
-            switch_up: 128.0,
-            ..HybridConfig::default()
-        };
-        let mut other_thresholds =
-            HybridSimulator::with_config(Rumor, 1_000, 1, other_cfg).unwrap();
-        assert!(matches!(
-            other_thresholds.restore_state(&snap),
-            Err(SimError::SnapshotMismatch { .. })
-        ));
-
-        let sharded_cfg = HybridConfig {
-            substrate: HybridSubstrate::Sharded {
-                shards: 2,
-                threads: 1,
-            },
-            ..HybridConfig::default()
-        };
         let mut other_substrate =
-            HybridSimulator::with_config(Rumor, 1_000, 1, sharded_cfg).unwrap();
+            HybridSimulator::with_substrate(Rumor, 1_000, 1, SHARDED).unwrap();
         assert!(matches!(
             other_substrate.restore_state(&snap),
             Err(SimError::SnapshotMismatch { .. })
@@ -1689,7 +1558,7 @@ mod tests {
             observations in 1usize..200,
         ) {
             let n = 1_000_000u64; // √n = 1000: band is q_occ ∈ (√8000, √64000] ≈ (89, 253]
-            let mut monitor = OccupancyMonitor::new(n, 64.0, 8.0, 2);
+            let mut monitor = OccupancyMonitor::new(n);
             let mut x = seed;
             for _ in 0..observations {
                 // xorshift; occupancy confined to [90, 253]
@@ -1702,26 +1571,28 @@ mod tests {
             }
         }
 
-        /// A single outlier observation never migrates with `window >= 2`,
-        /// and sustained crossings migrate exactly once per direction.
+        /// A single outlier observation never migrates, and sustained
+        /// crossings migrate at the second observation, once per direction.
         #[test]
-        fn monitor_needs_a_sustained_crossing(window in 2u32..6) {
-            let n = 10_000u64; // √n = 100: up at q² > 6400, down at q² < 800
-            let mut monitor = OccupancyMonitor::new(n, 64.0, 8.0, window);
+        fn monitor_needs_a_sustained_crossing(
+            high in 81usize..100_000,
+            band in 29usize..81,
+            low in 0usize..29,
+        ) {
+            // √n = 100: up at q² > 6400 (q ≥ 81), down at q² < 800 (q ≤ 28).
+            let mut monitor = OccupancyMonitor::new(10_000);
             // Outlier, then back in band: no switch.
-            prop_assert_eq!(monitor.observe(500), None);
-            prop_assert_eq!(monitor.observe(50), None);
-            // Sustained: switches exactly at the window-th observation.
-            for _ in 0..window - 1 {
-                prop_assert_eq!(monitor.observe(500), None);
-            }
-            prop_assert_eq!(monitor.observe(500), Some(SwitchDirection::ToAgent));
+            prop_assert_eq!(monitor.observe(high), None);
+            prop_assert_eq!(monitor.observe(band), None);
+            // Sustained: switches at the second observation of the window.
+            prop_assert_eq!(monitor.observe(high), None);
+            prop_assert_eq!(monitor.observe(high), Some(SwitchDirection::ToAgent));
             prop_assert!(!monitor.is_dense());
             // Same discipline on the way back down.
-            for _ in 0..window - 1 {
-                prop_assert_eq!(monitor.observe(5), None);
-            }
-            prop_assert_eq!(monitor.observe(5), Some(SwitchDirection::ToDense));
+            prop_assert_eq!(monitor.observe(low), None);
+            prop_assert_eq!(monitor.observe(band), None);
+            prop_assert_eq!(monitor.observe(low), None);
+            prop_assert_eq!(monitor.observe(low), Some(SwitchDirection::ToDense));
             prop_assert!(monitor.is_dense());
         }
     }

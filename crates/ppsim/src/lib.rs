@@ -118,12 +118,11 @@ pub use dense::DenseProtocol;
 pub use engine::{DenseSimulator, Engine, SEQUENTIAL_CROSSOVER};
 pub use error::SimError;
 pub use hybrid::{
-    HybridConfig, HybridLegs, HybridSimulator, HybridSubstrate, OccupancyMonitor, SwitchDirection,
-    SwitchEvent,
+    HybridLegs, HybridSimulator, HybridSubstrate, OccupancyMonitor, SwitchDirection, SwitchEvent,
 };
 pub use interned::StateInterner;
 pub use metrics::StateSpaceTracker;
-pub use parallel::{run_trials, run_trials_with_threads};
+pub use parallel::run_trials_with_threads;
 pub use protocol::Protocol;
 pub use rng::{derive_seed, seeded_rng};
 pub use scheduler::{AllPairsScheduler, Scheduler, UniformScheduler};

@@ -13,28 +13,6 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Run `trials` independent jobs on as many worker threads as there are available
-/// CPUs (capped at the number of trials), returning the results in trial order.
-///
-/// The closure receives the trial index `0..trials` and must be deterministic given
-/// that index for reproducibility (derive per-trial seeds from the index with
-/// [`derive_seed`](crate::rng::derive_seed)).
-///
-/// # Examples
-///
-/// ```rust
-/// let squares = ppsim::run_trials(8, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn run_trials<T, F>(trials: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
-    run_trials_with_threads(trials, threads, job)
-}
-
 /// Run `trials` independent jobs on at most `threads` worker threads, returning the
 /// results in trial order.
 ///
@@ -185,12 +163,6 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 64);
         let distinct: HashSet<usize> = out.into_iter().collect();
         assert_eq!(distinct.len(), 64);
-    }
-
-    #[test]
-    fn default_thread_count_runs_all_trials() {
-        let out = run_trials(10, |i| i + 1);
-        assert_eq!(out, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]

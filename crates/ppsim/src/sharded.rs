@@ -442,7 +442,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] if `k` exceeds the population
-    /// or `new_state` returns a state outside `0..q`.
+    /// or `new_state` returns a state outside `0..q`.  The agents corrupted
+    /// before the failure stay corrupted, and [`Self::counts`] reports them.
     pub fn corrupt(
         &mut self,
         k: u64,
@@ -455,6 +456,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
                 reason: format!("cannot corrupt {k} of {} agents", self.n),
             });
         }
+        let mut result = Ok(());
         let mut remaining_total = self.n;
         let mut need = k;
         for shard in &mut self.shards {
@@ -464,14 +466,19 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
             let c = shard.population();
             let take = conditional_class_draw(rng, c, remaining_total, need);
             if take > 0 {
-                shard.corrupt(take, rng, &mut *new_state)?;
+                result = shard.corrupt(take, rng, &mut *new_state);
+                if result.is_err() {
+                    break;
+                }
             }
             need -= take;
             remaining_total -= c;
         }
-        debug_assert_eq!(need, 0);
+        debug_assert!(result.is_err() || need == 0);
+        // A failing shard may already have moved some agents, so the
+        // aggregate is refreshed on the error path too.
         self.aggregate_counts();
-        Ok(())
+        result
     }
 
     /// Execute one epoch window of exactly `w` interactions.

@@ -126,8 +126,7 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
     /// Current outputs of all agents.
     ///
     /// Allocates a fresh `Vec`; in hot paths (per-check predicates) prefer
-    /// [`outputs_iter`](Simulator::outputs_iter), which is allocation-free, or
-    /// [`outputs_into`](Simulator::outputs_into) with a reused buffer.
+    /// [`outputs_iter`](Simulator::outputs_iter), which is allocation-free.
     #[must_use]
     pub fn outputs(&self) -> Vec<P::Output> {
         self.outputs_iter().collect()
@@ -136,12 +135,6 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
     /// Iterate over the agents' current outputs without allocating.
     pub fn outputs_iter(&self) -> impl Iterator<Item = P::Output> + '_ {
         self.states.iter().map(|s| self.protocol.output(s))
-    }
-
-    /// Write the agents' current outputs into `buf`, reusing its capacity.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(self.outputs_iter());
     }
 
     /// Output histogram of the current configuration.
@@ -194,12 +187,6 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
             check_every,
             max_interactions,
         )
-    }
-
-    /// Consume the simulator and return the final configuration.
-    #[must_use]
-    pub fn into_states(self) -> Vec<P::State> {
-        self.states
     }
 }
 
@@ -400,15 +387,5 @@ mod tests {
             sim.restore_state(&alien),
             Err(SimError::SnapshotMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn into_states_returns_final_configuration() {
-        let mut sim = Simulator::new(MaxBroadcast, 8, 9).unwrap();
-        sim.states_mut()[3] = 5;
-        sim.run(1_000);
-        let states = sim.into_states();
-        assert_eq!(states.len(), 8);
-        assert!(states.iter().all(|&s| s == 5));
     }
 }

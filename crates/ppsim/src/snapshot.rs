@@ -24,14 +24,14 @@
 //! seconds) is also excluded — so snapshot bytes are a pure function of the
 //! trajectory and byte equality is a valid trajectory-equality check.
 //!
-//! # Format layout (version 3)
+//! # Format layout (version 4)
 //!
 //! All integers are little-endian; there is no padding.
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"PPSS"
-//! 4       4     u32    format version (currently 3)
+//! 4       4     u32    format version (currently 4)
 //! 8       1     u8     engine tag (see the ENGINE_* constants)
 //! 9       8     u64    payload length L
 //! 17      L     [u8]   payload (engine-specific, see each engine's docs)
@@ -81,7 +81,7 @@ use crate::error::SimError;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPSS";
 
 /// The format version this build writes, and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Engine tag: [`crate::Simulator`] (per-agent sequential).
 pub const ENGINE_SEQUENTIAL: u8 = 1;

@@ -31,6 +31,14 @@
 //!   or bytes a checkpoint saved — so one hook,
 //!   [`DenseProtocol::agent_stint`], covers both construction and restore.
 //!
+//! The per-agent configuration ops — expanding counts into agents in
+//! state-index order, counting the agents in a state, moving agents between
+//! states and corrupting a uniform subset of them — are written once, over a
+//! codec and a slice of native states.  The stint runs them with its census
+//! refresh as the on-change hook; the sequential variant of
+//! [`DenseSimulator`](crate::DenseSimulator) runs the same code over
+//! [`IndexCodec`] with no hook.
+//!
 //! # The incremental census
 //!
 //! The hybrid monitor needs the occupancy `q_occ` (distinct live states) in
@@ -184,8 +192,60 @@ fn state_hash<S: Hash>(state: &S) -> u64 {
     h.finish()
 }
 
-/// The census multiplicity map: 64-bit state hash → number of agents.
-type Census = HashMap<u64, u64, BuildHasherDefault<StateHasher>>;
+/// A stint's incremental occupancy census (see the module docs), kept in
+/// one field so it can be refreshed while the state vector is borrowed.
+#[derive(Debug, Clone)]
+struct Census {
+    /// Census hash of each agent's current state (avoids re-hashing the
+    /// pre-interaction state on updates).
+    hashes: Vec<u64>,
+    /// 64-bit state hash → number of agents.
+    multiplicity: HashMap<u64, u64, BuildHasherDefault<StateHasher>>,
+    /// Distinct hashes with at least one agent.
+    occupied: usize,
+}
+
+impl Census {
+    fn new<S: Hash>(states: &[S]) -> Self {
+        let hashes: Vec<u64> = states.iter().map(state_hash).collect();
+        let mut multiplicity = HashMap::default();
+        for &h in &hashes {
+            *multiplicity.entry(h).or_insert(0) += 1;
+        }
+        Census {
+            hashes,
+            occupied: multiplicity.len(),
+            multiplicity,
+        }
+    }
+
+    /// Re-census agent `idx`, now in `state`, after a possible state change.
+    fn refresh<S: Hash>(&mut self, idx: usize, state: &S) {
+        let new_hash = state_hash(state);
+        let old_hash = self.hashes[idx];
+        if new_hash == old_hash {
+            return;
+        }
+        match self.multiplicity.entry(old_hash) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                *e.get_mut() -= 1;
+                if *e.get() == 0 {
+                    e.remove();
+                    self.occupied -= 1;
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(_) => {
+                unreachable!("census lost track of a live state hash")
+            }
+        }
+        let slot = self.multiplicity.entry(new_hash).or_insert(0);
+        if *slot == 0 {
+            self.occupied += 1;
+        }
+        *slot += 1;
+        self.hashes[idx] = new_hash;
+    }
+}
 
 /// An optional extension of [`DenseProtocol`]: a typed codec between dense
 /// state indices and **native per-agent structs**, plus a native protocol
@@ -257,6 +317,129 @@ pub trait AgentCodec: DenseProtocol + Clone + Send + 'static {
     fn stint_label(&self) -> &'static str {
         "decoded"
     }
+}
+
+/// The native per-agent state of codec `C`.
+type NativeState<C> = <<C as AgentCodec>::Native as Protocol>::State;
+
+// The per-agent configuration ops, written once over a codec and a slice of
+// native states.  `DecodedStint` and the sequential variant of
+// `DenseSimulator` (over `IndexCodec`) both run on them.  `on_change(i, s)`
+// runs after agent `i` took the new state `s`: the stint refreshes its
+// census there, the sequential engine has nothing to refresh.
+
+/// The agents of a counts configuration in state-index order: `counts[0]`
+/// agents in the state behind index 0, then `counts[1]` in the state behind
+/// index 1, and so on.  A fixed, representation-independent layout, so a
+/// hand-off is a pure function of the configuration.  Each occupied index is
+/// decoded once.
+pub(crate) fn expand_counts<'a, C: AgentCodec>(
+    codec: &'a C,
+    counts: &'a [u64],
+) -> impl Iterator<Item = NativeState<C>> + 'a {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .flat_map(|(s, &c)| std::iter::repeat_n(codec.decode_agent(s), c as usize))
+}
+
+/// Number of agents in the state behind dense index `index` (`0` if the
+/// index has no state behind it).
+pub(crate) fn count_agents<C: AgentCodec>(
+    codec: &C,
+    states: &[NativeState<C>],
+    index: usize,
+) -> u64 {
+    match codec.try_decode_agent(index) {
+        Some(target) => states.iter().filter(|&s| *s == target).count() as u64,
+        None => 0,
+    }
+}
+
+/// Move the first `k` agents (in agent order) in the state behind `from` to
+/// the state behind `to`.
+pub(crate) fn transfer_agents<C: AgentCodec>(
+    codec: &C,
+    states: &mut [NativeState<C>],
+    from: usize,
+    to: usize,
+    k: u64,
+    mut on_change: impl FnMut(usize, &NativeState<C>),
+) -> Result<(), SimError> {
+    let (Some(from_state), Some(to_state)) =
+        (codec.try_decode_agent(from), codec.try_decode_agent(to))
+    else {
+        return Err(SimError::InvalidParameter {
+            name: "transfer",
+            reason: format!(
+                "states ({from}, {to}) outside the assigned state space 0..{}",
+                codec.num_states()
+            ),
+        });
+    };
+    let available = states.iter().filter(|&s| *s == from_state).count() as u64;
+    if available < k {
+        return Err(SimError::InvalidParameter {
+            name: "transfer",
+            reason: format!("cannot move {k} agents out of state {from} holding {available}"),
+        });
+    }
+    let mut moved = 0u64;
+    for (idx, state) in states.iter_mut().enumerate() {
+        if moved == k {
+            break;
+        }
+        if *state == from_state {
+            *state = to_state.clone();
+            moved += 1;
+            on_change(idx, state);
+        }
+    }
+    Ok(())
+}
+
+/// Corrupt `k` agents chosen uniformly without replacement (see
+/// [`AgentStint::corrupt`]): each victim takes the state behind
+/// `new_state(current_index, rng)`.  All randomness comes from `rng`.  On an
+/// error the victims before the failing one stay corrupted.
+pub(crate) fn corrupt_agents<C: AgentCodec>(
+    codec: &C,
+    states: &mut [NativeState<C>],
+    k: u64,
+    rng: &mut SmallRng,
+    new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
+    mut on_change: impl FnMut(usize, &NativeState<C>),
+) -> Result<(), SimError> {
+    let n = states.len();
+    if k > n as u64 {
+        return Err(SimError::InvalidParameter {
+            name: "corrupt",
+            reason: format!("cannot corrupt {k} of {n} agents"),
+        });
+    }
+    // Partial Fisher–Yates: after `k` swap steps the prefix of `idx` is a
+    // uniform k-subset of the agents, in a uniform order.
+    let mut idx: Vec<usize> = (0..n).collect();
+    for v in 0..k as usize {
+        let swap = v + rng.gen_range(0..n - v);
+        idx.swap(v, swap);
+        let victim = idx[v];
+        let current = codec.encode_agent(&states[victim]);
+        let target = new_state(current, rng);
+        let state = codec
+            .try_decode_agent(target)
+            .ok_or_else(|| SimError::InvalidParameter {
+                name: "corrupt",
+                reason: format!(
+                    "target state {target} outside the assigned state space 0..{}",
+                    codec.num_states()
+                ),
+            })?;
+        states[victim] = state;
+        on_change(victim, &states[victim]);
+    }
+    Ok(())
 }
 
 /// Where a per-agent stint starts: the input of
@@ -358,15 +541,12 @@ impl<O> Clone for BoxedAgentStint<O> {
 /// each agent back (the agent → dense boundary, deduplicated so each
 /// distinct state hits the interner once).  In between, the codec is never
 /// consulted.
+#[derive(Clone)]
 pub struct DecodedStint<P: AgentCodec> {
     codec: P,
     native: P::Native,
     states: Vec<<P::Native as Protocol>::State>,
-    /// Census hash of each agent's current state (avoids re-hashing the
-    /// pre-interaction state on updates).
-    hashes: Vec<u64>,
     census: Census,
-    occupied: usize,
     scheduler: UniformScheduler,
     rng: SmallRng,
     interactions: u64,
@@ -387,34 +567,23 @@ impl<P: AgentCodec> DecodedStint<P> {
         let n: u64 = counts.iter().sum();
         assert!(n >= 2, "a population needs at least two agents, got {n}");
         let mut states = Vec::with_capacity(n as usize);
-        for (s, &c) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
-            let state = codec.decode_agent(s);
-            states.extend(std::iter::repeat_n(state, c as usize));
-        }
+        states.extend(expand_counts(&codec, counts));
         Self::from_states(codec, states, seeded_rng(seed), 0)
     }
 
     /// A stint over `states` that resumes the schedule from `rng` after
-    /// `interactions` steps; the census, hashes and occupancy counter are
-    /// computed from the states.
+    /// `interactions` steps; the census is computed from the states.
     fn from_states(
         codec: P,
         states: Vec<<P::Native as Protocol>::State>,
         rng: SmallRng,
         interactions: u64,
     ) -> Self {
-        let hashes: Vec<u64> = states.iter().map(state_hash).collect();
-        let mut census = Census::default();
-        for &h in &hashes {
-            *census.entry(h).or_insert(0) += 1;
-        }
         DecodedStint {
             native: codec.native(),
             codec,
+            census: Census::new(&states),
             states,
-            hashes,
-            occupied: census.len(),
-            census,
             scheduler: UniformScheduler::new(),
             rng,
             interactions,
@@ -495,54 +664,8 @@ impl<P: AgentCodec> DecodedStint<P> {
         };
         self.native.interact(a, b, &mut self.rng);
         self.interactions += 1;
-        self.refresh_census(i);
-        self.refresh_census(j);
-    }
-
-    /// Re-census agent `idx` after a possible state change.
-    fn refresh_census(&mut self, idx: usize) {
-        let new_hash = state_hash(&self.states[idx]);
-        let old_hash = self.hashes[idx];
-        if new_hash == old_hash {
-            return;
-        }
-        match self.census.entry(old_hash) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                    self.occupied -= 1;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                unreachable!("census lost track of a live state hash")
-            }
-        }
-        let slot = self.census.entry(new_hash).or_insert(0);
-        if *slot == 0 {
-            self.occupied += 1;
-        }
-        *slot += 1;
-        self.hashes[idx] = new_hash;
-    }
-}
-
-impl<P: AgentCodec> Clone for DecodedStint<P>
-where
-    P::Native: Clone,
-{
-    fn clone(&self) -> Self {
-        DecodedStint {
-            codec: self.codec.clone(),
-            native: self.native.clone(),
-            states: self.states.clone(),
-            hashes: self.hashes.clone(),
-            census: self.census.clone(),
-            occupied: self.occupied,
-            scheduler: self.scheduler,
-            rng: self.rng.clone(),
-            interactions: self.interactions,
-        }
+        self.census.refresh(i, &self.states[i]);
+        self.census.refresh(j, &self.states[j]);
     }
 }
 
@@ -552,7 +675,7 @@ impl<P: AgentCodec> fmt::Debug for DecodedStint<P> {
             .field("kind", &self.codec.stint_label())
             .field("population", &self.states.len())
             .field("interactions", &self.interactions)
-            .field("occupied", &self.occupied)
+            .field("occupied", &self.census.occupied)
             .finish_non_exhaustive()
     }
 }
@@ -579,7 +702,7 @@ where
     }
 
     fn occupied_states(&self) -> usize {
-        self.occupied
+        self.census.occupied
     }
 
     fn counts(&self) -> Vec<u64> {
@@ -601,10 +724,7 @@ where
     }
 
     fn count_of(&self, state: usize) -> u64 {
-        match self.codec.try_decode_agent(state) {
-            Some(target) => self.states.iter().filter(|&s| *s == target).count() as u64,
-            None => 0,
-        }
+        count_agents(&self.codec, &self.states, state)
     }
 
     fn output_stats(&self) -> ConfigurationStats<<P as DenseProtocol>::Output> {
@@ -612,36 +732,9 @@ where
     }
 
     fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        let from_state = self.codec.try_decode_agent(from);
-        let to_state = self.codec.try_decode_agent(to);
-        let (Some(from_state), Some(to_state)) = (from_state, to_state) else {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "states ({from}, {to}) outside the assigned state space 0..{}",
-                    self.codec.num_states()
-                ),
-            });
-        };
-        let available = self.states.iter().filter(|&s| *s == from_state).count() as u64;
-        if available < k {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!("cannot move {k} agents out of state {from} holding {available}"),
-            });
-        }
-        let mut moved = 0u64;
-        for idx in 0..self.states.len() {
-            if moved == k {
-                break;
-            }
-            if self.states[idx] == from_state {
-                self.states[idx] = to_state.clone();
-                moved += 1;
-                self.refresh_census(idx);
-            }
-        }
-        Ok(())
+        transfer_agents(&self.codec, &mut self.states, from, to, k, |i, s| {
+            self.census.refresh(i, s);
+        })
     }
 
     fn corrupt(
@@ -650,36 +743,9 @@ where
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        let n = self.states.len();
-        if k > n as u64 {
-            return Err(SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!("cannot corrupt {k} of {n} agents"),
-            });
-        }
-        // Partial Fisher–Yates: after `k` swap steps the prefix of `idx` is
-        // a uniform k-subset of the agents, in a uniform order.
-        let mut idx: Vec<usize> = (0..n).collect();
-        for v in 0..k as usize {
-            let swap = v + rng.gen_range(0..n - v);
-            idx.swap(v, swap);
-            let victim = idx[v];
-            let current = self.codec.encode_agent(&self.states[victim]);
-            let target = new_state(current, rng);
-            let state =
-                self.codec
-                    .try_decode_agent(target)
-                    .ok_or_else(|| SimError::InvalidParameter {
-                        name: "corrupt",
-                        reason: format!(
-                            "target state {target} outside the assigned state space 0..{}",
-                            self.codec.num_states()
-                        ),
-                    })?;
-            self.states[victim] = state;
-            self.refresh_census(victim);
-        }
-        Ok(())
+        corrupt_agents(&self.codec, &mut self.states, k, rng, new_state, |i, s| {
+            self.census.refresh(i, s);
+        })
     }
 
     fn kind(&self) -> &'static str {

@@ -46,24 +46,24 @@ impl DenseProtocol for DenseRumor {
 /// belief: an observation streak interrupted by a fault must start over.
 #[test]
 fn reset_window_discards_streak_without_flipping_mode() {
-    // n = 100 → √n = 10; switch_up = 2.0 → up_threshold = 20.  An occupancy
-    // of 5 has pressure 25 > 20, so every observation below crosses.
-    let mut monitor = OccupancyMonitor::new(100, 2.0, 1.0, 2);
+    // n = 100 → √n = 10, so the up-threshold is 64·10 = 640.  An occupancy
+    // of 26 has pressure 676 > 640, so every observation below crosses.
+    let mut monitor = OccupancyMonitor::new(100);
     assert!(monitor.is_dense());
 
     // First crossing observation: streak 1 of 2, no migration yet.
-    assert_eq!(monitor.observe(5), None);
+    assert_eq!(monitor.observe(26), None);
 
     // Fault injected here — the streak is stale evidence.
     monitor.reset_window();
 
     // Without the reset this observation would complete the window and
     // migrate; with it, the streak restarts at 1.
-    assert_eq!(monitor.observe(5), None);
+    assert_eq!(monitor.observe(26), None);
     assert!(monitor.is_dense(), "reset_window must not flip the mode");
 
     // The streak completes against post-fault observations only.
-    assert_eq!(monitor.observe(5), Some(SwitchDirection::ToAgent));
+    assert_eq!(monitor.observe(26), Some(SwitchDirection::ToAgent));
     assert!(!monitor.is_dense());
 }
 

@@ -11,8 +11,8 @@
 
 use ppsim::faultsim::{coprime_chunks, kill_and_resume, sweep_kill_points};
 use ppsim::{
-    BatchedSimulator, DenseProtocol, DenseSimulator, Engine, HybridConfig, HybridSimulator,
-    HybridSubstrate, Protocol, ShardedBatchedSimulator, ShardedConfig, Simulator, SwitchDirection,
+    BatchedSimulator, DenseProtocol, DenseSimulator, Engine, HybridSimulator, HybridSubstrate,
+    Protocol, ShardedBatchedSimulator, ShardedConfig, Simulator, SwitchDirection,
 };
 use rand::rngs::SmallRng;
 
@@ -169,17 +169,14 @@ fn hybrid_engine_kills_land_around_representation_migrations() {
 fn hybrid_on_sharded_substrate_survives_kills() {
     // The gnarliest path: epoch windows *and* representation migrations
     // under the same kill schedule.
-    let config = HybridConfig {
-        substrate: HybridSubstrate::Sharded {
-            shards: 2,
-            threads: 1,
-        },
-        ..HybridConfig::default()
+    let substrate = HybridSubstrate::Sharded {
+        shards: 2,
+        threads: 1,
     };
     let n = 3_000usize;
     let chunks = coprime_chunks(15 * n as u64, 4_999);
     let diverged = sweep_kill_points(
-        || HybridSimulator::with_config(Scatter { q: 1 << 13 }, n, 0x5EED5, config),
+        || HybridSimulator::with_substrate(Scatter { q: 1 << 13 }, n, 0x5EED5, substrate),
         |s, b| s.run(b),
         &chunks,
     )

@@ -1,4 +1,4 @@
-//! Golden-file tests pinning the `ppsim::snapshot` binary format (v3).
+//! Golden-file tests pinning the `ppsim::snapshot` binary format (v4).
 //!
 //! These bytes are a compatibility contract: checkpoints written by one
 //! build must restore in the next.  If a change here is intentional, bump
@@ -9,8 +9,7 @@ use popcount::{CountExactParams, DenseCountExact};
 use ppsim::snapshot::{crc32, ENGINE_BATCHED, ENGINE_SEQUENTIAL, SNAPSHOT_MAGIC};
 use ppsim::{
     BatchedSimulator, Checkpointable, DenseProtocol, DenseSimulator, Engine, EngineSnapshot,
-    HybridConfig, HybridSimulator, HybridSubstrate, Protocol, SimError, Simulator,
-    SNAPSHOT_VERSION,
+    HybridSimulator, HybridSubstrate, Protocol, SimError, Simulator, SNAPSHOT_VERSION,
 };
 use rand::rngs::SmallRng;
 
@@ -52,18 +51,22 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The full serialized frame of a tiny batched run, byte for byte.  The
-/// trajectory is deterministic (fixed protocol, n, seed, budget), so any
-/// deviation is a format change, not noise.
+/// The full serialized frame of a tiny batched run, byte for byte, except
+/// for the version field, which must read `SNAPSHOT_VERSION`: everything
+/// else must survive a version bump unchanged.  The trajectory is
+/// deterministic (fixed protocol, n, seed, budget), so any deviation is a
+/// format change, not noise.
 #[test]
 fn golden_batched_snapshot_bytes_are_pinned() {
     let mut sim = BatchedSimulator::new(Rumor, 4, 1).unwrap();
     sim.transfer(0, 1, 1).unwrap();
     sim.run(7);
     let bytes = sim.save_state().to_bytes();
+    assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes());
     assert_eq!(
-        hex(&bytes),
-        "505053530300000002540000000000000004000000000000000200000000000000\
+        format!("{}{}", hex(&bytes[..4]), hex(&bytes[8..])),
+        "50505353\
+         02540000000000000004000000000000000200000000000000\
          c3dd56fdc1235e8d08856fa2f7082263d0f294247e8601088c51c766153e44b3\
          070000000000000000000000000000000100000000000000010000000400000000000000401433f7"
     );
@@ -75,17 +78,17 @@ fn golden_sequential_snapshot_bytes_are_pinned() {
     let mut sim = Simulator::new(Flip, 3, 2).unwrap();
     sim.run(5);
     let bytes = sim.save_state().to_bytes();
+    assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes());
     assert_eq!(
-        hex(&bytes),
-        "50505353030000000133000000000000008f436e9f7f8923b7242c7e619ea14086\
+        format!("{}{}", hex(&bytes[..4]), hex(&bytes[8..])),
+        "50505353\
+         0133000000000000008f436e9f7f8923b7242c7e619ea14086\
          8a485b8924b6737ea2782fa36be47f9905000000000000000300000000000000010000703754fb"
     );
 }
 
 /// The sequential variant of `DenseSimulator` (protocol state plus the
-/// inner per-agent payload), pinned the same way except for the version
-/// field, which must read `SNAPSHOT_VERSION`: everything else must survive
-/// a version bump unchanged.
+/// inner per-agent payload), pinned the same way.
 #[test]
 fn golden_dense_sequential_snapshot_bytes_are_pinned() {
     let mut sim = DenseSimulator::new(Engine::Sequential, Rumor, 4, 1).unwrap();
@@ -102,9 +105,11 @@ fn golden_dense_sequential_snapshot_bytes_are_pinned() {
     );
 }
 
-/// The hybrid engine's frame in per-agent mode, pinned the same way: the
-/// configuration and monitor bookkeeping, the one-entry switch log, the
-/// stint kind, and the stint itself (interaction count, RNG, agent states).
+/// The hybrid engine's frame in per-agent mode, pinned byte for byte: the
+/// population, seed and substrate, the monitor bookkeeping, the one-entry
+/// switch log, the stint kind, and the stint itself (interaction count,
+/// RNG, agent states).  The switch rule is fixed, so no threshold, window
+/// or cadence is stored.
 #[test]
 fn golden_hybrid_snapshot_bytes_are_pinned() {
     let mut sim = HybridSimulator::new(Rumor, 4, 1).unwrap();
@@ -115,13 +120,12 @@ fn golden_hybrid_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "505053530300000004be00000000000000040000000000000001000000000000\
-         0000000000000000504000000000000020400200000000010000000000000300\
-         0000000000000300000000000000000000000000000000010000000000000000\
-         0000000100000000000000030000000000000000020000000000000000020000\
-         0000000000000140000000000000000400000000000000c228400a6ddd355495\
-         4e431f52798a899f2e82c8b7eabcc1dc37877729e71396040000000000000001\
-         000000010000000100000001000000559c4f9c"
+        "505053530400000004a200000000000000040000000000000001000000000000\
+         0000030000000000000003000000000000000000000000000000000100000000\
+         0000000000000001000000000000000300000000000000000200000000000000\
+         000200000000000000000140000000000000000400000000000000c228400a6d\
+         dd3554954e431f52798a899f2e82c8b7eabcc1dc37877729e713960400000000\
+         000000010000000100000001000000010000000548712e"
     );
 }
 
@@ -204,12 +208,13 @@ fn future_versions_are_refused() {
 }
 
 /// Frames from earlier format versions are refused the same way: a reader
-/// accepts only its own version, so neither a v1 checkpoint (whose hybrid
-/// payload held the interner twice) nor a v2 one (whose hybrid and staged
-/// payloads carried a stint-mode flag) reaches a v3 decoder.
+/// accepts only its own version, so no v1 checkpoint (whose hybrid payload
+/// held the interner twice), v2 one (whose hybrid and staged payloads
+/// carried a stint-mode flag) or v3 one (whose hybrid payload carried the
+/// switch thresholds, window and cadence) reaches a v4 decoder.
 #[test]
 fn past_versions_are_refused() {
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         match EngineSnapshot::from_bytes(&frame_with_version(version)) {
             Err(SimError::SnapshotVersion { found, supported }) => {
                 assert_eq!(found, version);
@@ -238,11 +243,7 @@ fn dense_hybrid_snapshots_carry_the_interner_once() {
             CountExactParams::dense_at_scale(n),
             CountExactParams::dense_capacity(n),
         );
-        let config = HybridConfig {
-            substrate,
-            ..HybridConfig::default()
-        };
-        let mut sim = HybridSimulator::with_config(proto.clone(), n, 3, config).unwrap();
+        let mut sim = HybridSimulator::with_substrate(proto.clone(), n, 3, substrate).unwrap();
         // Twenty probes of n interactions: past the early per-agent
         // transient of the leader election and back on the dense substrate.
         for _ in 0..20 {

@@ -291,10 +291,6 @@ impl AgentCodec for StochasticCoalescence {
         self.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<ClusterAgent> {
-        (index < self.num_states()).then(|| self.decode(index))
-    }
-
     fn encode_agent(&self, state: &ClusterAgent) -> usize {
         self.encode(*state)
     }

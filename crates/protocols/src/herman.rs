@@ -272,10 +272,6 @@ impl AgentCodec for HermanTokens {
         self.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<HermanAgent> {
-        (index < self.num_states()).then(|| self.decode(index))
-    }
-
     fn encode_agent(&self, state: &HermanAgent) -> usize {
         self.encode(*state)
     }

@@ -285,10 +285,6 @@ impl AgentCodec for SelfStabRanking {
         self.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<RankAgent> {
-        (index < self.num_states()).then(|| self.decode(index))
-    }
-
     fn encode_agent(&self, state: &RankAgent) -> usize {
         self.encode(*state)
     }

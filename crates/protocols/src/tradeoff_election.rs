@@ -311,10 +311,6 @@ impl AgentCodec for TradeoffElection {
         self.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<ElectionAgent> {
-        (index < self.num_states()).then(|| self.decode(index))
-    }
-
     fn encode_agent(&self, state: &ElectionAgent) -> usize {
         self.encode(*state)
     }
