@@ -238,9 +238,9 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] if a silence window has zero
-    /// length, or if any event is scheduled inside an earlier event's
-    /// silence window (the window executes atomically, so the clock could
-    /// never stop at the inner event's time).
+    /// length or would end past `u64::MAX`, or if any event is scheduled
+    /// inside an earlier event's silence window (the window executes
+    /// atomically, so the clock could never stop at the inner event's time).
     pub fn new(mut events: Vec<FaultEvent>) -> Result<Self, SimError> {
         events.sort_by_key(|e| e.at);
         let mut blocked_until: Option<(u64, u64)> = None;
@@ -264,7 +264,13 @@ impl FaultPlan {
                         reason: "a silence window must span at least one interaction".to_string(),
                     });
                 }
-                blocked_until = Some((event.at, event.at + window));
+                let Some(end) = event.at.checked_add(window) else {
+                    return Err(SimError::InvalidParameter {
+                        name: "fault_plan",
+                        reason: format!("the silence window at {} overflows the clock", event.at),
+                    });
+                };
+                blocked_until = Some((event.at, end));
             }
         }
         Ok(FaultPlan { events })
@@ -857,7 +863,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> AdversarialRun<P> {
     /// thinned effective interaction count, merge back, advance the clock
     /// by the full window.
     fn silence(&mut self, agents: u64, window: u64) -> Result<(), SimError> {
-        if agents + 2 > self.n {
+        if agents.checked_add(2).is_none_or(|needed| needed > self.n) {
             return Err(SimError::InvalidParameter {
                 name: "silence",
                 reason: format!(
@@ -1012,6 +1018,13 @@ mod tests {
         .unwrap()
     }
 
+    fn silence_at(at: u64, agents: u64, window: u64) -> Vec<FaultEvent> {
+        vec![FaultEvent {
+            at,
+            kind: FaultKind::Silence { agents, window },
+        }]
+    }
+
     #[test]
     fn plan_validation_sorts_and_rejects_overlaps() {
         // Out-of-order events are sorted.
@@ -1052,14 +1065,7 @@ mod tests {
         ]);
         assert!(overlapping.is_err());
         // Zero-length silence windows are rejected.
-        assert!(FaultPlan::new(vec![FaultEvent {
-            at: 0,
-            kind: FaultKind::Silence {
-                agents: 1,
-                window: 0
-            },
-        }])
-        .is_err());
+        assert!(FaultPlan::new(silence_at(0, 1, 0)).is_err());
     }
 
     #[test]
@@ -1146,14 +1152,7 @@ mod tests {
 
     #[test]
     fn silence_preserves_mass_and_advances_the_clock_without_the_main_engine() {
-        let plan = FaultPlan::new(vec![FaultEvent {
-            at: 1_000,
-            kind: FaultKind::Silence {
-                agents: 500,
-                window: 4_000,
-            },
-        }])
-        .unwrap();
+        let plan = FaultPlan::new(silence_at(1_000, 500, 4_000)).unwrap();
         let mut run =
             AdversarialRun::new(Engine::Batched, Rumor, 2_000, 11, InitStrategy::Clean, plan)
                 .unwrap();
@@ -1168,18 +1167,37 @@ mod tests {
 
     #[test]
     fn silence_cannot_empty_the_population() {
-        let plan = FaultPlan::new(vec![FaultEvent {
-            at: 0,
-            kind: FaultKind::Silence {
-                agents: 1_999,
-                window: 100,
-            },
-        }])
-        .unwrap();
+        let plan = FaultPlan::new(silence_at(0, 1_999, 100)).unwrap();
         let mut run =
             AdversarialRun::new(Engine::Batched, Rumor, 2_000, 0, InitStrategy::Clean, plan)
                 .unwrap();
         assert!(run.run(10).is_err());
+    }
+
+    #[test]
+    fn a_silence_window_past_the_end_of_the_clock_is_rejected() {
+        assert!(matches!(
+            FaultPlan::new(silence_at(5, 1, u64::MAX)),
+            Err(SimError::InvalidParameter {
+                name: "fault_plan",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn silencing_more_agents_than_exist_is_an_error() {
+        let plan = FaultPlan::new(silence_at(0, u64::MAX, 100)).unwrap();
+        let mut run =
+            AdversarialRun::new(Engine::Batched, Rumor, 2_000, 0, InitStrategy::Clean, plan)
+                .unwrap();
+        assert!(matches!(
+            run.run(10),
+            Err(SimError::InvalidParameter {
+                name: "silence",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! therefore simulate the same stochastic process, which the
 //! distributional-equivalence tests verify.
 //!
+//! The configuration (counts, occupied list, outputs, validated mutations and
+//! snapshot codec) is a crate-private type the sharded aggregate shares.
+//!
 //! # When to use which engine
 //!
 //! * [`Simulator`](crate::Simulator): arbitrary state types, RNG-consulting
@@ -56,13 +59,13 @@
 
 use rand::rngs::SmallRng;
 
-use crate::block::{DeltaTable, Occupancy, TouchSet};
+use crate::block::{CountConfig, DeltaTable, TouchSet};
 use crate::config::ConfigurationStats;
 use crate::convergence::{self, RunOutcome};
-use crate::dense::{check_counts, DenseProtocol};
+use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::rng::seeded_rng;
-use crate::sample::{multivariate_hypergeometric_sparse, CollisionSampler};
+use crate::sample::CollisionSampler;
 use crate::snapshot::{
     persist_rng, unpersist_rng, Checkpointable, EngineSnapshot, PersistState, SnapshotReader,
     ENGINE_BATCHED,
@@ -76,22 +79,15 @@ use crate::snapshot::{
 #[derive(Debug, Clone)]
 pub struct BatchedSimulator<P: DenseProtocol> {
     protocol: P,
-    q: usize,
-    counts: Vec<u64>,
-    n: u64,
+    /// The configuration: counts, the occupied list (compacted every
+    /// batch) and the precomputed outputs.
+    config: CountConfig<P::Output>,
     rng: SmallRng,
     interactions: u64,
     /// Validated `δ`, precomputed as a dense table for small `q`.
     delta: DeltaTable,
     /// Cached batch-length sampler for this population size.
     collisions: CollisionSampler,
-    /// Precomputed `ω` per state; `None` for dynamic (interned) protocols,
-    /// whose outputs are evaluated lazily on occupied states.
-    outputs: Option<Vec<P::Output>>,
-    /// States that may be occupied, compacted every batch.  All per-batch
-    /// work iterates this list, so empty regions of large state spaces cost
-    /// nothing.
-    occupied: Occupancy,
     /// Agents already touched by the current block (flat delta accumulator).
     touched: TouchSet,
     // Scratch buffers reused across batches.
@@ -102,9 +98,8 @@ pub struct BatchedSimulator<P: DenseProtocol> {
 /// Mutable views into a [`BatchedSimulator`]'s configuration, used by the
 /// sharded engine to resolve cross-shard interactions and rebalance agents
 /// without going through the public (validating, `O(q)`) mutators.
-pub(crate) struct ShardAccess<'a> {
-    pub(crate) counts: &'a mut Vec<u64>,
-    pub(crate) occupied: &'a mut Occupancy,
+pub(crate) struct ShardAccess<'a, O> {
+    pub(crate) config: &'a mut CountConfig<O>,
     pub(crate) touched: &'a mut TouchSet,
 }
 
@@ -149,37 +144,28 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         }
         let delta = DeltaTable::new(&protocol)?;
         let q = delta.num_states();
-        let q0 = protocol.initial_state();
-        let outputs = (!protocol.dynamic()).then(|| (0..q).map(|s| protocol.output(s)).collect());
-        let mut counts = vec![0u64; q];
-        counts[q0] = n as u64;
         Ok(BatchedSimulator {
+            config: CountConfig::new(&protocol, q, n as u64),
             protocol,
-            q,
-            counts,
-            n: n as u64,
             rng: seeded_rng(seed),
             interactions: 0,
             delta,
             collisions: CollisionSampler::new(n as u64),
-            outputs,
-            occupied: Occupancy::new(q, q0),
             touched: TouchSet::new(q),
             init_pairs: Vec::new(),
             resp_pairs: Vec::new(),
         })
     }
 
-    /// Crate-internal view of the possibly-occupied state list.
-    pub(crate) fn occupied_slice(&self) -> &[u32] {
-        self.occupied.as_slice()
+    /// Crate-internal view of the configuration.
+    pub(crate) fn config(&self) -> &CountConfig<P::Output> {
+        &self.config
     }
 
     /// Crate-internal mutable access for the sharded engine.
-    pub(crate) fn shard_access(&mut self) -> ShardAccess<'_> {
+    pub(crate) fn shard_access(&mut self) -> ShardAccess<'_, P::Output> {
         ShardAccess {
-            counts: &mut self.counts,
-            occupied: &mut self.occupied,
+            config: &mut self.config,
             touched: &mut self.touched,
         }
     }
@@ -187,7 +173,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// The population size `n`.
     #[must_use]
     pub fn population(&self) -> u64 {
-        self.n
+        self.config.population()
     }
 
     /// The number of interactions executed so far.
@@ -205,30 +191,26 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// The number of states `q` of the protocol.
     #[must_use]
     pub fn num_states(&self) -> usize {
-        self.q
+        self.config.num_states()
     }
 
     /// The number of currently occupied states (states holding ≥ 1 agent).
     #[must_use]
     pub fn occupied_states(&self) -> usize {
-        self.occupied
-            .as_slice()
-            .iter()
-            .filter(|&&s| self.counts[s as usize] > 0)
-            .count()
+        self.config.occupied_states()
     }
 
     /// The current configuration as state counts (`counts[s]` agents in state
     /// `s`; sums to `n`).
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.config.counts()
     }
 
     /// Number of agents currently in state `state`.
     #[must_use]
     pub fn count_of(&self, state: usize) -> u64 {
-        self.counts.get(state).copied().unwrap_or(0)
+        self.config.count_of(state)
     }
 
     /// Move `k` agents from state `from` to state `to` — the counts analogue
@@ -240,27 +222,8 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if either state is out of range
     /// or fewer than `k` agents are in `from`.
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        if from >= self.q || to >= self.q {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "states ({from}, {to}) outside the state space 0..{}",
-                    self.q
-                ),
-            });
-        }
-        if self.counts[from] < k {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "cannot move {k} agents out of state {from} holding {}",
-                    self.counts[from]
-                ),
-            });
-        }
-        self.counts[from] -= k;
-        self.counts[to] += k;
-        self.occupied.mark(to);
+        self.config.check_transfer(from, to, k)?;
+        self.config.move_agents(from, to, k);
         Ok(())
     }
 
@@ -271,10 +234,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if `counts` has the wrong length
     /// or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
-        check_counts(&counts, self.q, self.n)?;
-        self.counts = counts;
-        self.occupied.rebuild(&self.counts);
-        Ok(())
+        self.config.set_counts(counts)
     }
 
     /// Corrupt `k` agents chosen uniformly without replacement: each victim's
@@ -297,37 +257,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        if k > self.n {
-            return Err(SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!("cannot corrupt {k} of {} agents", self.n),
-            });
-        }
-        let mut victims = Vec::new();
-        multivariate_hypergeometric_sparse(
-            rng,
-            &self.counts,
-            self.occupied.as_slice(),
-            self.n,
-            k,
-            &mut victims,
-        );
-        for (state, hit) in victims {
-            let from = state as usize;
-            for _ in 0..hit {
-                let to = new_state(from, rng);
-                if to >= self.q {
-                    return Err(SimError::InvalidParameter {
-                        name: "corrupt",
-                        reason: format!("target state {to} outside the state space 0..{}", self.q),
-                    });
-                }
-                self.counts[from] -= 1;
-                self.counts[to] += 1;
-                self.occupied.mark(to);
-            }
-        }
-        Ok(())
+        self.config.corrupt(k, rng, new_state)
     }
 
     /// Output histogram of the current configuration, computed in `O(q)` over
@@ -335,16 +265,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// touch `n` at all.
     #[must_use]
     pub fn output_stats(&self) -> ConfigurationStats<P::Output> {
-        ConfigurationStats::from_counts(self.occupied.as_slice().iter().filter_map(|&s| {
-            let c = self.counts[s as usize];
-            (c > 0).then(|| {
-                let out = match &self.outputs {
-                    Some(outputs) => outputs[s as usize].clone(),
-                    None => self.protocol.output(s as usize),
-                };
-                (out, c as usize)
-            })
-        }))
+        self.config.output_stats(&self.protocol)
     }
 
     /// Execute exactly one interaction (sequentially, against the counts).
@@ -352,23 +273,12 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Equivalent to one [`Simulator::step`](crate::Simulator::step); used for
     /// fine-grained control and as the reference path in tests.
     pub fn step(&mut self) {
-        let i = crate::block::draw_one(
-            &mut self.rng,
-            &mut self.counts,
-            self.occupied.as_slice(),
-            self.n,
-        );
-        let j = crate::block::draw_one(
-            &mut self.rng,
-            &mut self.counts,
-            self.occupied.as_slice(),
-            self.n - 1,
-        );
+        let n = self.config.population();
+        let i = self.config.take_one(&mut self.rng, n);
+        let j = self.config.take_one(&mut self.rng, n - 1);
         let (a, b) = self.delta.eval(&self.protocol, i, j);
-        self.counts[a] += 1;
-        self.counts[b] += 1;
-        self.occupied.mark(a);
-        self.occupied.mark(b);
+        self.config.add(a, 1);
+        self.config.add(b, 1);
         self.interactions += 1;
     }
 
@@ -379,34 +289,17 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         let draw = self.collisions.sample(&mut self.rng, cap);
         let clean = draw.clean;
         debug_assert!(clean >= 1);
+        let n = self.config.population();
 
         // Which states do the 2·clean pairwise-distinct agents hold?  Sample
         // `clean` initiators, then `clean` responders from the remainder —
         // the roles of a uniform without-replacement agent sample.
         let mut init_pairs = std::mem::take(&mut self.init_pairs);
         let mut resp_pairs = std::mem::take(&mut self.resp_pairs);
-        multivariate_hypergeometric_sparse(
-            &mut self.rng,
-            &self.counts,
-            self.occupied.as_slice(),
-            self.n,
-            clean,
-            &mut init_pairs,
-        );
-        for &(s, k) in &init_pairs {
-            self.counts[s as usize] -= k;
-        }
-        multivariate_hypergeometric_sparse(
-            &mut self.rng,
-            &self.counts,
-            self.occupied.as_slice(),
-            self.n - clean,
-            clean,
-            &mut resp_pairs,
-        );
-        for &(s, k) in &resp_pairs {
-            self.counts[s as usize] -= k;
-        }
+        self.config
+            .take_sample(&mut self.rng, n, clean, &mut init_pairs);
+        self.config
+            .take_sample(&mut self.rng, n - clean, clean, &mut resp_pairs);
 
         // Pair initiator classes with responder classes uniformly at random
         // (a random contingency table with the sampled margins) and apply each
@@ -433,18 +326,13 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
         let mut executed = clean;
         if let Some(c) = draw.collision {
             let mut touched_total = 2 * clean;
-            let untouched_total = self.n - 2 * clean;
+            let untouched_total = n - 2 * clean;
             let i = if c.initiator_used {
                 let s = self.touched.draw_one(&mut self.rng, touched_total);
                 touched_total -= 1;
                 s
             } else {
-                crate::block::draw_one(
-                    &mut self.rng,
-                    &mut self.counts,
-                    self.occupied.as_slice(),
-                    untouched_total,
-                )
+                self.config.take_one(&mut self.rng, untouched_total)
             };
             let j = if c.responder_used {
                 self.touched.draw_one(&mut self.rng, touched_total)
@@ -454,12 +342,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
                 } else {
                     untouched_total - 1
                 };
-                crate::block::draw_one(
-                    &mut self.rng,
-                    &mut self.counts,
-                    self.occupied.as_slice(),
-                    left,
-                )
+                self.config.take_one(&mut self.rng, left)
             };
             let (a, b) = self.delta.eval(&self.protocol, i, j);
             self.touched.add(a, 1);
@@ -469,15 +352,11 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
 
         // Merge the touched agents back into the configuration, then compact
         // the occupancy list (dropping states the batch emptied).
-        self.touched
-            .merge_into(&mut self.counts, &mut self.occupied);
-        self.occupied.compact(&self.counts);
+        self.touched.merge_into(&mut self.config);
+        self.config.compact();
         #[cfg(feature = "strict-invariants")]
-        crate::block::assert_mass_conserved(
-            &self.counts,
-            self.n,
-            "batched block delta application",
-        );
+        self.config
+            .assert_mass_conserved("batched block delta application");
 
         self.interactions += executed;
         executed
@@ -512,7 +391,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     /// Consume the simulator and return the final configuration counts.
     #[must_use]
     pub fn into_counts(self) -> Vec<u64> {
-        self.counts
+        self.config.into_counts()
     }
 
     /// Serialize the engine core into `out` (shared by the top-level
@@ -535,20 +414,14 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
     ///                  stored verbatim, zero-count entries included
     /// ```
     pub(crate) fn save_core(&self, include_protocol: bool, out: &mut Vec<u8>) {
-        self.n.persist(out);
-        self.q.persist(out);
+        self.config.population().persist(out);
+        self.config.num_states().persist(out);
         persist_rng(&self.rng, out);
         self.interactions.persist(out);
         if include_protocol {
             self.protocol.save_protocol_state().persist(out);
         }
-        let occ: Vec<(u32, u64)> = self
-            .occupied
-            .as_slice()
-            .iter()
-            .map(|&s| (s, self.counts[s as usize]))
-            .collect();
-        occ.persist(out);
+        self.config.save_occupied(out);
     }
 
     /// Restore a core written by [`Self::save_core`].  Everything derivable
@@ -569,37 +442,7 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
             let protocol_bytes = r.read::<Vec<u8>>()?;
             self.protocol.restore_protocol_state(&protocol_bytes)?;
         }
-        let occ = r.read::<Vec<(u32, u64)>>()?;
-        if n != self.n {
-            return Err(SimError::SnapshotMismatch {
-                reason: format!("snapshot population {n} != simulator population {}", self.n),
-            });
-        }
-        if q != self.q {
-            return Err(SimError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot state space {q} != simulator state space {}",
-                    self.q
-                ),
-            });
-        }
-        let total: u64 = occ.iter().map(|&(_, c)| c).sum();
-        if total != n {
-            return Err(SimError::SnapshotCorrupt {
-                reason: format!("occupied counts sum to {total}, population is {n}"),
-            });
-        }
-        // Zero the current configuration through its own occupied list (every
-        // non-zero count is marked, so this touches all of them) before
-        // installing the snapshot's.
-        for &s in self.occupied.as_slice() {
-            self.counts[s as usize] = 0;
-        }
-        self.occupied
-            .restore_list(occ.iter().map(|&(s, _)| s).collect())?;
-        for &(s, c) in &occ {
-            self.counts[s as usize] = c;
-        }
+        self.config.restore_occupied(r, n, q)?;
         self.rng = rng;
         self.interactions = interactions;
         self.delta = DeltaTable::new(&self.protocol)?;
@@ -858,7 +701,7 @@ mod tests {
         copy.restore_state(&snap).unwrap();
         assert_eq!(copy.counts(), sim.counts());
         assert_eq!(copy.interactions(), sim.interactions());
-        assert_eq!(copy.occupied_slice(), sim.occupied_slice());
+        assert_eq!(copy.config().occupied(), sim.config().occupied());
 
         // Resume must retrace the uninterrupted run chunk-for-chunk.
         sim.run(10_000);

@@ -6,6 +6,9 @@
 //! agents.  The pieces they share live here:
 //!
 //! * [`DeltaTable`] — the validated, optionally precomputed transition table;
+//! * [`CountConfig`] — the configuration (counts, occupied list, outputs),
+//!   its validated mutations and snapshot codec: a batched engine's and the
+//!   sharded aggregate's;
 //! * [`Occupancy`] — the duplicate-free list of possibly-occupied states that
 //!   keeps every per-block loop `O(q_occupied)` instead of `O(q)`;
 //! * [`TouchSet`] — a flat per-state accumulator for the agents a block has
@@ -28,9 +31,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::dense::DenseProtocol;
+use crate::config::ConfigurationStats;
+use crate::dense::{check_counts, DenseProtocol};
 use crate::error::SimError;
-use crate::sample::conditional_class_draw;
+use crate::sample::{conditional_class_draw, multivariate_hypergeometric_sparse};
+use crate::snapshot::{PersistState, SnapshotReader};
 
 /// Precompute the `q × q` transition table only while it stays comfortably in
 /// cache; beyond this, transitions are evaluated on the fly for the occupied
@@ -317,30 +322,304 @@ impl TouchSet {
         draw_one(rng, &mut self.acc, &self.list, total)
     }
 
-    /// Merge the accumulated agents back into `counts`, marking their states
-    /// in `occupied`, and reset to empty.
-    pub(crate) fn merge_into(&mut self, counts: &mut [u64], occupied: &mut Occupancy) {
+    /// Merge the accumulated agents back into `config` and reset to empty.
+    pub(crate) fn merge_into<O: Clone + PartialEq>(&mut self, config: &mut CountConfig<O>) {
         for &s in &self.list {
             let s = s as usize;
-            counts[s] += self.acc[s];
+            config.add(s, self.acc[s]);
             self.acc[s] = 0;
-            occupied.mark(s);
         }
         self.list.clear();
     }
 }
 
-/// Under `strict-invariants`: assert a configuration holds exactly
-/// `expected` agents after a block's deltas are applied.  Catches any
-/// draw/merge bookkeeping bug that loses or duplicates an agent, at
-/// `O(q)` per block.
-#[cfg(feature = "strict-invariants")]
-pub(crate) fn assert_mass_conserved(counts: &[u64], expected: u64, context: &str) {
-    let total: u64 = counts.iter().sum();
-    assert!(
-        total == expected,
-        "strict-invariants: {context} lost or duplicated agents ({total} != {expected})"
-    );
+/// A configuration of `n` agents over `q` states stored as state counts: the
+/// batched engine's configuration and the sharded engine's aggregate.  The
+/// occupied list keeps discovery order (new states are appended), which is
+/// part of the trajectory: categorical draws iterate it.
+#[derive(Debug, Clone)]
+pub(crate) struct CountConfig<O> {
+    q: usize,
+    n: u64,
+    counts: Vec<u64>,
+    occupied: Occupancy,
+    /// Precomputed `ω` per state; `None` for dynamic (interned) protocols,
+    /// whose outputs are evaluated lazily on occupied states.
+    outputs: Option<Vec<O>>,
+}
+
+impl<O: Clone + PartialEq> CountConfig<O> {
+    /// `n` agents in the initial state of a protocol whose `q` states a
+    /// [`DeltaTable`] validated.
+    pub(crate) fn new<P: DenseProtocol<Output = O>>(protocol: &P, q: usize, n: u64) -> Self {
+        let q0 = protocol.initial_state();
+        let mut counts = vec![0u64; q];
+        counts[q0] = n;
+        CountConfig {
+            q,
+            n,
+            counts,
+            occupied: Occupancy::new(q, q0),
+            outputs: (!protocol.dynamic()).then(|| (0..q).map(|s| protocol.output(s)).collect()),
+        }
+    }
+
+    pub(crate) fn num_states(&self) -> usize {
+        self.q
+    }
+
+    pub(crate) fn population(&self) -> u64 {
+        self.n
+    }
+
+    pub(crate) fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// The possibly-occupied states, in discovery order.
+    pub(crate) fn occupied(&self) -> &[u32] {
+        self.occupied.as_slice()
+    }
+
+    pub(crate) fn count_of(&self, state: usize) -> u64 {
+        self.counts.get(state).copied().unwrap_or(0)
+    }
+
+    /// The number of states holding at least one agent.
+    pub(crate) fn occupied_states(&self) -> usize {
+        self.occupied()
+            .iter()
+            .filter(|&&s| self.counts[s as usize] > 0)
+            .count()
+    }
+
+    /// The output histogram, in `O(q_occ)`.
+    pub(crate) fn output_stats<P: DenseProtocol<Output = O>>(
+        &self,
+        protocol: &P,
+    ) -> ConfigurationStats<O> {
+        ConfigurationStats::from_counts(self.occupied().iter().filter_map(|&s| {
+            let c = self.counts[s as usize];
+            (c > 0).then(|| {
+                let out = match &self.outputs {
+                    Some(outputs) => outputs[s as usize].clone(),
+                    None => protocol.output(s as usize),
+                };
+                (out, c as usize)
+            })
+        }))
+    }
+
+    /// The checks of a `transfer` of `k` agents from `from` to `to`.
+    pub(crate) fn check_transfer(&self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
+        let q = self.q;
+        if from >= q || to >= q {
+            return Err(SimError::InvalidParameter {
+                name: "transfer",
+                reason: format!("states ({from}, {to}) outside the state space 0..{q}"),
+            });
+        }
+        let held = self.counts[from];
+        if held < k {
+            return Err(SimError::InvalidParameter {
+                name: "transfer",
+                reason: format!("cannot move {k} agents out of state {from} holding {held}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Move `k` agents from `from` to `to`, unchecked.
+    pub(crate) fn move_agents(&mut self, from: usize, to: usize, k: u64) {
+        self.counts[from] -= k;
+        self.add(to, k);
+    }
+
+    #[inline]
+    pub(crate) fn add(&mut self, s: usize, k: u64) {
+        self.counts[s] += k;
+        self.occupied.mark(s);
+    }
+
+    /// Replace the configuration; the occupied list is rebuilt in index order.
+    pub(crate) fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
+        check_counts(&counts, self.q, self.n)?;
+        self.counts = counts;
+        self.occupied.rebuild(&self.counts);
+        Ok(())
+    }
+
+    /// The check of a `corrupt` of `k` agents.
+    pub(crate) fn check_victims(&self, k: u64) -> Result<(), SimError> {
+        if k > self.n {
+            return Err(SimError::InvalidParameter {
+                name: "corrupt",
+                reason: format!("cannot corrupt {k} of {} agents", self.n),
+            });
+        }
+        Ok(())
+    }
+
+    /// Move `k` agents drawn without replacement to `new_state(current,
+    /// rng)` each; on an error the victims moved so far stay moved.
+    pub(crate) fn corrupt(
+        &mut self,
+        k: u64,
+        rng: &mut SmallRng,
+        new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
+    ) -> Result<(), SimError> {
+        self.check_victims(k)?;
+        let mut victims = Vec::new();
+        multivariate_hypergeometric_sparse(
+            rng,
+            &self.counts,
+            self.occupied(),
+            self.n,
+            k,
+            &mut victims,
+        );
+        for (state, hit) in victims {
+            let from = state as usize;
+            for _ in 0..hit {
+                let to = new_state(from, rng);
+                if to >= self.q {
+                    return Err(SimError::InvalidParameter {
+                        name: "corrupt",
+                        reason: format!("target state {to} outside the state space 0..{}", self.q),
+                    });
+                }
+                self.move_agents(from, to, 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// Take `draws` agents drawn without replacement out of the `total` held,
+    /// reported as `(state, k)` pairs in `out`.
+    #[inline]
+    pub(crate) fn take_sample(
+        &mut self,
+        rng: &mut SmallRng,
+        total: u64,
+        draws: u64,
+        out: &mut Vec<(u32, u64)>,
+    ) {
+        multivariate_hypergeometric_sparse(rng, &self.counts, self.occupied(), total, draws, out);
+        for &(s, k) in out.iter() {
+            self.counts[s as usize] -= k;
+        }
+    }
+
+    /// Take one uniformly random agent out of the `total` held.
+    #[inline]
+    pub(crate) fn take_one(&mut self, rng: &mut SmallRng, total: u64) -> usize {
+        draw_one(rng, &mut self.counts, self.occupied.as_slice(), total)
+    }
+
+    pub(crate) fn compact(&mut self) {
+        self.occupied.compact(&self.counts);
+    }
+
+    /// Empty the configuration, then add the `(state, count)` pairs in order.
+    pub(crate) fn refill(&mut self, pairs: &[(u32, u64)]) {
+        for &s in self.occupied.as_slice() {
+            self.counts[s as usize] = 0;
+        }
+        self.occupied.clear();
+        for &(s, c) in pairs {
+            self.add(s as usize, c);
+        }
+    }
+
+    /// Recount as the sum of `parts`, keeping this list's order.
+    pub(crate) fn aggregate<'a>(&mut self, parts: impl Iterator<Item = &'a Self>)
+    where
+        O: 'a,
+    {
+        for &s in self.occupied.as_slice() {
+            self.counts[s as usize] = 0;
+        }
+        for part in parts {
+            for &s in part.occupied() {
+                let c = part.counts[s as usize];
+                if c > 0 {
+                    self.add(s as usize, c);
+                }
+            }
+        }
+        self.compact();
+    }
+
+    /// Under `strict-invariants`: assert the configuration still holds `n`
+    /// agents after a block's deltas, which catches any draw/merge
+    /// bookkeeping bug that loses or duplicates an agent, at `O(q)`.
+    #[cfg(feature = "strict-invariants")]
+    pub(crate) fn assert_mass_conserved(&self, context: &str) {
+        let total: u64 = self.counts.iter().sum();
+        let n = self.n;
+        assert!(
+            total == n,
+            "strict-invariants: {context} lost or duplicated agents ({total} != {n})"
+        );
+    }
+
+    /// Write the occupied list as a `Vec<(u32, u64)>` of `(state, count)`
+    /// in list order, zero counts included.
+    pub(crate) fn save_occupied(&self, out: &mut Vec<u8>) {
+        let occ: Vec<(u32, u64)> = self
+            .occupied()
+            .iter()
+            .map(|&s| (s, self.counts[s as usize]))
+            .collect();
+        occ.persist(out);
+    }
+
+    /// Check a snapshot's population and state-space size against ours.
+    pub(crate) fn check_shape(&self, n: u64, q: usize) -> Result<(), SimError> {
+        let reason = if n != self.n {
+            format!("snapshot population {n} != simulator population {}", self.n)
+        } else if q != self.q {
+            format!(
+                "snapshot state space {q} != simulator state space {}",
+                self.q
+            )
+        } else {
+            return Ok(());
+        };
+        Err(SimError::SnapshotMismatch { reason })
+    }
+
+    /// Read what [`Self::save_occupied`] wrote for a snapshot of `n` agents
+    /// over `q` states, check it, and install it verbatim.
+    pub(crate) fn restore_occupied(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        n: u64,
+        q: usize,
+    ) -> Result<(), SimError> {
+        let occ = r.read::<Vec<(u32, u64)>>()?;
+        self.check_shape(n, q)?;
+        let total: u64 = occ.iter().map(|&(_, c)| c).sum();
+        if total != n {
+            return Err(SimError::SnapshotCorrupt {
+                reason: format!("occupied counts sum to {total}, population is {n}"),
+            });
+        }
+        // Every non-zero count is on the old list, so this zeroes them all.
+        for &s in self.occupied.as_slice() {
+            self.counts[s as usize] = 0;
+        }
+        self.occupied
+            .restore_list(occ.iter().map(|&(s, _)| s).collect())?;
+        for &(s, c) in &occ {
+            self.counts[s as usize] = c;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn into_counts(self) -> Vec<u64> {
+        self.counts
+    }
 }
 
 /// Remove one uniformly random agent from the multiset `counts` restricted to
@@ -410,6 +689,24 @@ mod tests {
     use super::*;
     use crate::rng::seeded_rng;
 
+    /// Three states; the transition swaps the pair.
+    struct Swap;
+    impl DenseProtocol for Swap {
+        type Output = usize;
+        fn num_states(&self) -> usize {
+            3
+        }
+        fn initial_state(&self) -> usize {
+            0
+        }
+        fn transition(&self, u: usize, v: usize) -> (usize, usize) {
+            (v, u)
+        }
+        fn output(&self, s: usize) -> usize {
+            s
+        }
+    }
+
     #[test]
     fn occupancy_marks_compacts_and_rebuilds() {
         let mut occ = Occupancy::new(5, 2);
@@ -444,18 +741,17 @@ mod tests {
 
     #[test]
     fn touch_set_accumulates_and_merges() {
-        let mut touched = TouchSet::new(4);
-        touched.add(1, 3);
-        touched.add(3, 2);
-        touched.add(1, 1);
-        let mut counts = vec![10u64, 0, 0, 0];
-        let mut occ = Occupancy::new(4, 0);
-        touched.merge_into(&mut counts, &mut occ);
-        assert_eq!(counts, vec![10, 4, 0, 2]);
-        assert_eq!(occ.as_slice(), &[0, 1, 3]);
+        let mut touched = TouchSet::new(3);
+        touched.add(2, 3);
+        touched.add(1, 2);
+        touched.add(2, 1);
+        let mut config = CountConfig::new(&Swap, 3, 10);
+        touched.merge_into(&mut config);
+        assert_eq!(config.counts(), &[10, 2, 4]);
+        assert_eq!(config.occupied(), &[0, 2, 1], "merged in touch order");
         // Reset: a second merge adds nothing.
-        touched.merge_into(&mut counts, &mut occ);
-        assert_eq!(counts, vec![10, 4, 0, 2]);
+        touched.merge_into(&mut config);
+        assert_eq!(config.counts(), &[10, 2, 4]);
     }
 
     #[test]
@@ -504,22 +800,6 @@ mod tests {
 
     #[test]
     fn delta_table_validates_and_evaluates() {
-        struct Swap;
-        impl DenseProtocol for Swap {
-            type Output = usize;
-            fn num_states(&self) -> usize {
-                3
-            }
-            fn initial_state(&self) -> usize {
-                0
-            }
-            fn transition(&self, u: usize, v: usize) -> (usize, usize) {
-                (v, u)
-            }
-            fn output(&self, s: usize) -> usize {
-                s
-            }
-        }
         let delta = DeltaTable::new(&Swap).unwrap();
         assert_eq!(delta.num_states(), 3);
         assert_eq!(delta.eval(&Swap, 1, 2), (2, 1));

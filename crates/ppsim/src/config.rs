@@ -1,10 +1,5 @@
 //! Helpers for inspecting configurations (the vector of all agent states).
 
-// Keyed census lookups only; nothing iterates the map to drive the
-// simulation. ppcheck: allow(hashmap-iter)
-use std::collections::HashMap;
-use std::hash::Hash;
-
 use crate::protocol::Protocol;
 
 /// Summary statistics over a configuration, computed against a protocol's output
@@ -111,23 +106,6 @@ impl<O: Clone + PartialEq> ConfigurationStats<O> {
     }
 }
 
-/// Count how many agents satisfy `pred`.
-pub fn count_matching<S>(states: &[S], mut pred: impl FnMut(&S) -> bool) -> usize {
-    states.iter().filter(|s| pred(s)).count()
-}
-
-/// Build a multiset (state → multiplicity) view of a configuration.
-///
-/// Population protocols are invariant under permutations of the agents, so the
-/// multiset of states is the canonical representation of a configuration.
-pub fn state_multiset<S: Clone + Eq + Hash>(states: &[S]) -> HashMap<S, usize> {
-    let mut map = HashMap::new();
-    for s in states {
-        *map.entry(s.clone()).or_insert(0) += 1;
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,22 +144,6 @@ mod tests {
         let states = vec![0u8, 2, 4];
         let stats = ConfigurationStats::from_states(&Parity, &states);
         assert_eq!(stats.unanimous(), Some(&true));
-    }
-
-    #[test]
-    fn count_matching_counts() {
-        let states = vec![1u8, 2, 3, 4, 5];
-        assert_eq!(count_matching(&states, |s| *s > 2), 3);
-    }
-
-    #[test]
-    fn state_multiset_collects_multiplicities() {
-        let states = vec![1u8, 2, 2, 3, 3, 3];
-        let ms = state_multiset(&states);
-        assert_eq!(ms[&1], 1);
-        assert_eq!(ms[&2], 2);
-        assert_eq!(ms[&3], 3);
-        assert_eq!(ms.values().sum::<usize>(), states.len());
     }
 
     #[test]

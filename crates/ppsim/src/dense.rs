@@ -207,52 +207,6 @@ pub trait DenseProtocol {
     }
 }
 
-/// Blanket implementation so `&P` can be used wherever a dense protocol is
-/// expected.
-impl<P: DenseProtocol + ?Sized> DenseProtocol for &P {
-    type Output = P::Output;
-
-    fn num_states(&self) -> usize {
-        (**self).num_states()
-    }
-    fn initial_state(&self) -> usize {
-        (**self).initial_state()
-    }
-    fn transition(&self, initiator: usize, responder: usize) -> (usize, usize) {
-        (**self).transition(initiator, responder)
-    }
-    fn output(&self, state: usize) -> Self::Output {
-        (**self).output(state)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn invariants(&self) -> crate::conformance::ProtocolInvariants {
-        (**self).invariants()
-    }
-    fn legitimate(&self, counts: &[u64]) -> Option<bool> {
-        (**self).legitimate(counts)
-    }
-    fn dynamic(&self) -> bool {
-        (**self).dynamic()
-    }
-    fn discovered_states(&self) -> Option<usize> {
-        (**self).discovered_states()
-    }
-    fn agent_stint(
-        &self,
-        source: StintSource<'_>,
-    ) -> Option<Result<BoxedAgentStint<Self::Output>, SimError>> {
-        (**self).agent_stint(source)
-    }
-    fn save_protocol_state(&self) -> Vec<u8> {
-        (**self).save_protocol_state()
-    }
-    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), SimError> {
-        (**self).restore_protocol_state(bytes)
-    }
-}
-
 /// Check that `counts` is a configuration of `n` agents over `q` states:
 /// the validation every engine's `set_counts` shares.
 ///
@@ -275,42 +229,4 @@ pub(crate) fn check_counts(counts: &[u64], q: usize, n: u64) -> Result<(), SimEr
         });
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two-state one-way epidemic on dense indices.
-    struct Rumor;
-
-    impl DenseProtocol for Rumor {
-        type Output = bool;
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn initial_state(&self) -> usize {
-            0
-        }
-        fn transition(&self, initiator: usize, responder: usize) -> (usize, usize) {
-            (initiator.max(responder), responder)
-        }
-        fn output(&self, state: usize) -> bool {
-            state == 1
-        }
-        fn name(&self) -> &'static str {
-            "rumor"
-        }
-    }
-
-    #[test]
-    fn reference_delegation_preserves_dense_behaviour() {
-        let p = Rumor;
-        let r = &p;
-        assert_eq!(r.num_states(), 2);
-        assert_eq!(r.initial_state(), 0);
-        assert_eq!(r.transition(0, 1), (1, 1));
-        assert!(r.output(1));
-        assert_eq!(r.name(), "rumor");
-    }
 }

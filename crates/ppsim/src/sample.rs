@@ -5,41 +5,16 @@
 //! interactions involve pairwise-distinct agents (the birthday-process
 //! distribution, [`CollisionSampler`]), then samples *which* states those
 //! agents hold via multivariate hypergeometric draws from the configuration's
-//! state counts ([`multivariate_hypergeometric_sparse`]; the dense
-//! [`multivariate_hypergeometric`] is the same decomposition over a full
-//! counts vector).  Both samplers are exact
+//! state counts, visiting only the occupied states
+//! ([`multivariate_hypergeometric_sparse`]).  Both samplers are exact
 //! (up to `f64` rounding in the inverse-transform step), so the batched engine
 //! simulates the *same* stochastic process as the sequential per-interaction
-//! engine — not an approximation of it.
+//! engine — not an approximation of it.  [`hypergeometric`] and [`binomial`]
+//! share one inverse-transform walk outward from the mode (narrow
+//! distributions) and one log-concave rejection sampler (wide ones).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// `ln Γ(z)` for `z > 0` via the Lanczos approximation (g = 7, 9 terms),
-/// accurate to ~15 significant digits — plenty for inverse-transform sampling.
-#[must_use]
-pub fn ln_gamma(z: f64) -> f64 {
-    debug_assert!(z > 0.0, "ln_gamma requires a positive argument, got {z}");
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    const G: f64 = 7.0;
-    let z = z - 1.0;
-    let mut x = COEF[0];
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        x += c / (z + i as f64);
-    }
-    let t = z + G + 0.5;
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (z + 0.5) * t.ln() - t + x.ln()
-}
 
 /// Exact-by-summation `ln(n!)` for small `n`, filled once on first use.
 fn small_ln_factorials() -> &'static [f64; 128] {
@@ -334,6 +309,22 @@ pub fn hypergeometric(rng: &mut SmallRng, total: u64, success: u64, draws: u64) 
             / ((success - k + 1) as f64 * (draws - k + 1) as f64)
     };
 
+    walk_from_mode(rng, lo, hi, mode, p_mode, ratio_up, ratio_down)
+}
+
+/// The inverse-transform walk of [`hypergeometric`] and [`binomial`] on
+/// `lo..=hi`: draw `u`, then add pmf mass outward from `mode`, alternating
+/// up and down via `ratio_up(k) = p(k+1)/p(k)`, `ratio_down(k) = p(k−1)/p(k)`.
+#[inline]
+fn walk_from_mode(
+    rng: &mut SmallRng,
+    lo: u64,
+    hi: u64,
+    mode: u64,
+    p_mode: f64,
+    ratio_up: impl Fn(u64) -> f64,
+    ratio_down: impl Fn(u64) -> f64,
+) -> u64 {
     let u: f64 = rng.gen();
     let mut acc = p_mode;
     if u < acc {
@@ -367,48 +358,6 @@ pub fn hypergeometric(rng: &mut SmallRng, total: u64, success: u64, draws: u64) 
             return mode;
         }
     }
-}
-
-/// Draw a multivariate hypergeometric sample: `draws` items without
-/// replacement from a population whose composition is `counts`, writing the
-/// per-class sample sizes into `out` (resized to `counts.len()`).
-///
-/// Conditional decomposition: class `i` receives
-/// `Hypergeometric(remaining_total, counts[i], remaining_draws)` items.
-///
-/// # Panics
-///
-/// Panics if `draws` exceeds the population size `counts.iter().sum()`.
-pub fn multivariate_hypergeometric(
-    rng: &mut SmallRng,
-    counts: &[u64],
-    draws: u64,
-    out: &mut Vec<u64>,
-) {
-    let mut remaining_total: u64 = counts.iter().sum();
-    assert!(
-        draws <= remaining_total,
-        "cannot draw {draws} agents from a population of {remaining_total}"
-    );
-    out.clear();
-    out.resize(counts.len(), 0);
-    let mut remaining_draws = draws;
-    for (i, &c) in counts.iter().enumerate() {
-        if remaining_draws == 0 {
-            break;
-        }
-        if c == 0 {
-            continue;
-        }
-        let k = conditional_class_draw(rng, c, remaining_total, remaining_draws);
-        out[i] = k;
-        remaining_draws -= k;
-        remaining_total -= c;
-    }
-    debug_assert_eq!(
-        remaining_draws, 0,
-        "the population composition was exhausted early"
-    );
 }
 
 /// Draw from the binomial distribution: the number of successes in `trials`
@@ -462,40 +411,7 @@ pub fn binomial(rng: &mut SmallRng, trials: u64, p: f64) -> u64 {
     // p(k−1)/p(k) = k / (trials − k + 1) · (1 − p)/p.
     let ratio_down = |k: u64| -> f64 { k as f64 / (trials - k + 1) as f64 / odds };
 
-    let u: f64 = rng.gen();
-    let mut acc = p_mode;
-    if u < acc {
-        return mode;
-    }
-    let (mut up_k, mut up_p) = (mode, p_mode);
-    let (mut down_k, mut down_p) = (mode, p_mode);
-    loop {
-        let mut advanced = false;
-        if up_k < trials {
-            up_p *= ratio_up(up_k);
-            up_k += 1;
-            acc += up_p;
-            if u < acc {
-                return up_k;
-            }
-            advanced = true;
-        }
-        if down_k > 0 {
-            down_p *= ratio_down(down_k);
-            down_k -= 1;
-            acc += down_p;
-            if u < acc {
-                return down_k;
-            }
-            advanced = true;
-        }
-        if !advanced {
-            // u landed in the few-ulp gap left by rounding; the mode keeps the
-            // bias far below statistical noise (same rationale as in
-            // `hypergeometric`).
-            return mode;
-        }
-    }
+    walk_from_mode(rng, 0, trials, mode, p_mode, ratio_up, ratio_down)
 }
 
 /// Draw a multinomial sample: distribute `trials` items over categories with
@@ -757,29 +673,10 @@ impl CollisionSampler {
     }
 }
 
-/// One-shot convenience wrapper around [`CollisionSampler`]; prefer holding a
-/// sampler when drawing repeatedly for the same population size.
-///
-/// # Panics
-///
-/// Panics if `n < 2` or `cap == 0`.
-pub fn sample_collision(rng: &mut SmallRng, n: u64, cap: u64) -> BatchDraw {
-    CollisionSampler::new(n).sample(rng, cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
-
-    #[test]
-    fn ln_gamma_matches_known_values() {
-        // Γ(1) = Γ(2) = 1, Γ(5) = 24, Γ(11) = 10!.
-        assert!(ln_gamma(1.0).abs() < 1e-12);
-        assert!(ln_gamma(2.0).abs() < 1e-12);
-        assert!((ln_gamma(5.0) - 24f64.ln()).abs() < 1e-12);
-        assert!((ln_gamma(11.0) - 3_628_800f64.ln()).abs() < 1e-10);
-    }
 
     #[test]
     fn ln_factorial_is_consistent() {
@@ -866,48 +763,43 @@ mod tests {
     fn multivariate_hypergeometric_sums_and_bounds() {
         let mut rng = seeded_rng(3);
         let counts = vec![5u64, 0, 17, 3, 0, 25];
+        // Unsorted, and listing the two zero-count states.
+        let occupied = [2u32, 1, 0, 5, 4, 3];
         for draws in [0u64, 1, 10, 50] {
             let mut out = Vec::new();
-            multivariate_hypergeometric(&mut rng, &counts, draws, &mut out);
-            assert_eq!(out.len(), counts.len());
-            assert_eq!(out.iter().sum::<u64>(), draws);
-            for (o, c) in out.iter().zip(&counts) {
-                assert!(o <= c, "class over-drawn: {out:?} from {counts:?}");
+            multivariate_hypergeometric_sparse(&mut rng, &counts, &occupied, 50, draws, &mut out);
+            assert_eq!(out.iter().map(|&(_, k)| k).sum::<u64>(), draws);
+            for &(s, k) in &out {
+                assert!(
+                    k > 0 && k <= counts[s as usize],
+                    "class over-drawn: {out:?} from {counts:?}"
+                );
             }
-            assert_eq!(out[1], 0);
-            assert_eq!(out[4], 0);
         }
     }
 
     #[test]
     fn multivariate_hypergeometric_single_class() {
-        // q = 1: everything must come from the only class.
+        // One occupied class: everything must come from it.
         let mut rng = seeded_rng(5);
         let mut out = Vec::new();
-        multivariate_hypergeometric(&mut rng, &[9], 6, &mut out);
-        assert_eq!(out, vec![6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot draw")]
-    fn multivariate_hypergeometric_rejects_overdraw() {
-        let mut rng = seeded_rng(5);
-        let mut out = Vec::new();
-        multivariate_hypergeometric(&mut rng, &[3, 4], 8, &mut out);
+        multivariate_hypergeometric_sparse(&mut rng, &[0, 9], &[0, 1], 9, 6, &mut out);
+        assert_eq!(out, vec![(1, 6)]);
     }
 
     #[test]
     fn multivariate_marginals_match_univariate_mean() {
         let mut rng = seeded_rng(11);
-        let counts = vec![40u64, 60, 100];
+        let counts = vec![40u64, 0, 60, 100];
+        let occupied = [0u32, 1, 2, 3];
         let draws = 30u64;
         let trials = 20_000;
-        let mut sums = [0u64; 3];
+        let mut sums = [0u64; 4];
         let mut out = Vec::new();
         for _ in 0..trials {
-            multivariate_hypergeometric(&mut rng, &counts, draws, &mut out);
-            for (s, o) in sums.iter_mut().zip(&out) {
-                *s += o;
+            multivariate_hypergeometric_sparse(&mut rng, &counts, &occupied, 200, draws, &mut out);
+            for &(s, k) in &out {
+                sums[s as usize] += k;
             }
         }
         for (i, &c) in counts.iter().enumerate() {
@@ -979,8 +871,9 @@ mod tests {
     fn collision_batches_are_capped_and_well_formed() {
         let mut rng = seeded_rng(17);
         for &n in &[2u64, 3, 10, 1000] {
+            let sampler = CollisionSampler::new(n);
             for _ in 0..200 {
-                let draw = sample_collision(&mut rng, n, 64);
+                let draw = sampler.sample(&mut rng, 64);
                 let executed = draw.clean + u64::from(draw.collision.is_some());
                 assert!(executed <= 64);
                 assert!(draw.clean <= n / 2);
@@ -1004,8 +897,9 @@ mod tests {
         let mut rng = seeded_rng(23);
         let trials = 2_000;
         let mut total_t = 0u64;
+        let sampler = CollisionSampler::new(n);
         for _ in 0..trials {
-            let draw = sample_collision(&mut rng, n, u64::MAX);
+            let draw = sampler.sample(&mut rng, u64::MAX);
             assert!(
                 draw.collision.is_some(),
                 "uncapped batches must end in a collision"
@@ -1221,8 +1115,9 @@ mod tests {
     #[test]
     fn tiny_populations_always_terminate() {
         let mut rng = seeded_rng(29);
+        let sampler = CollisionSampler::new(2);
         for _ in 0..500 {
-            let draw = sample_collision(&mut rng, 2, 10);
+            let draw = sampler.sample(&mut rng, 10);
             // With n = 2 the single clean interaction uses both agents; the
             // second interaction always collides.
             assert!(draw.clean <= 1);

@@ -24,8 +24,12 @@
 //!    per chunk, independent of `C_kl`.
 //! 4. **Rebalance.**  The global multiset is re-partitioned uniformly at
 //!    random into the fixed shard sizes (one multivariate-hypergeometric
-//!    split per shard), restoring the invariant that shard membership is a
+//!    split per shard; the last shard's split takes the rest and draws no
+//!    randomness), restoring the invariant that shard membership is a
 //!    uniform random partition of the population.
+//!
+//! The aggregate is the same count-configuration type a [`BatchedSimulator`]
+//! holds, refreshed from the shards after every epoch and mutation.
 //!
 //! # Exactness and the epoch approximation
 //!
@@ -102,10 +106,10 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::batched::BatchedSimulator;
-use crate::block::{DeltaTable, Occupancy};
+use crate::block::{CountConfig, DeltaTable};
 use crate::config::ConfigurationStats;
 use crate::convergence::{self, RunOutcome};
-use crate::dense::{check_counts, DenseProtocol};
+use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::parallel::run_chunked;
 use crate::rng::{derive_seed, seeded_rng};
@@ -154,8 +158,6 @@ impl Default for ShardedConfig {
 #[derive(Debug, Clone)]
 pub struct ShardedBatchedSimulator<P: DenseProtocol + Clone + Send> {
     protocol: P,
-    q: usize,
-    n: u64,
     /// Master RNG: epoch allocation, cross-shard resolution, rebalancing,
     /// `transfer`.  Shards draw from their own RNGs.
     rng: SmallRng,
@@ -163,16 +165,12 @@ pub struct ShardedBatchedSimulator<P: DenseProtocol + Clone + Send> {
     threads: usize,
     epoch_cap: u64,
     delta: DeltaTable,
-    /// Precomputed `ω` per state; `None` for dynamic (interned) protocols,
-    /// whose outputs are evaluated lazily on occupied states.
-    outputs: Option<Vec<P::Output>>,
     /// Shard sub-simulators; shard `k` always holds exactly `sizes[k]` agents.
     shards: Vec<BatchedSimulator<P>>,
     /// Fixed shard sizes `m_k` (`n/S`, the first `n mod S` shards one larger).
     sizes: Vec<u64>,
     /// Aggregate configuration, refreshed after every epoch and mutation.
-    counts: Vec<u64>,
-    occupied: Occupancy,
+    config: CountConfig<P::Output>,
     /// Multinomial weights of the `S²` epoch categories (constant: shard
     /// sizes never change).  Index `k·S + l`; the diagonal holds the
     /// within-shard weights `m_k(m_k−1)`, off-diagonal `m_k·m_l`.
@@ -206,7 +204,6 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         }
         let delta = DeltaTable::new(&protocol)?;
         let q = delta.num_states();
-        let q0 = protocol.initial_state();
         let s = config.shards.max(1).min(n / 2).max(1);
         // Dynamic (interned) protocols share one index registry across all
         // shard copies; advancing shards concurrently would make the interning
@@ -252,23 +249,16 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
             }
         }
 
-        let outputs = (!protocol.dynamic()).then(|| (0..q).map(|st| protocol.output(st)).collect());
-        let mut counts = vec![0u64; q];
-        counts[q0] = n as u64;
         Ok(ShardedBatchedSimulator {
+            config: CountConfig::new(&protocol, q, n as u64),
             protocol,
-            q,
-            n: n as u64,
             rng: seeded_rng(derive_seed(seed, 0)),
             interactions: 0,
             threads,
             epoch_cap,
             delta,
-            outputs,
             shards,
             sizes,
-            counts,
-            occupied: Occupancy::new(q, q0),
             weights,
             alloc: Vec::new(),
             within: Vec::new(),
@@ -281,7 +271,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// The population size `n`.
     #[must_use]
     pub fn population(&self) -> u64 {
-        self.n
+        self.config.population()
     }
 
     /// The number of interactions executed so far.
@@ -299,7 +289,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// The number of states `q` of the protocol.
     #[must_use]
     pub fn num_states(&self) -> usize {
-        self.q
+        self.config.num_states()
     }
 
     /// The number of shards the population is partitioned into.
@@ -324,39 +314,26 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// `s`; sums to `n`).
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.config.counts()
     }
 
     /// Number of agents currently in state `state`.
     #[must_use]
     pub fn count_of(&self, state: usize) -> u64 {
-        self.counts.get(state).copied().unwrap_or(0)
+        self.config.count_of(state)
     }
 
     /// The number of currently occupied states (states holding ≥ 1 agent).
     #[must_use]
     pub fn occupied_states(&self) -> usize {
-        self.occupied
-            .as_slice()
-            .iter()
-            .filter(|&&st| self.counts[st as usize] > 0)
-            .count()
+        self.config.occupied_states()
     }
 
     /// Output histogram of the current configuration, computed in `O(q)` over
     /// the occupied states.
     #[must_use]
     pub fn output_stats(&self) -> ConfigurationStats<P::Output> {
-        ConfigurationStats::from_counts(self.occupied.as_slice().iter().filter_map(|&st| {
-            let c = self.counts[st as usize];
-            (c > 0).then(|| {
-                let out = match &self.outputs {
-                    Some(outputs) => outputs[st as usize].clone(),
-                    None => self.protocol.output(st as usize),
-                };
-                (out, c as usize)
-            })
-        }))
+        self.config.output_stats(&self.protocol)
     }
 
     /// Move `k` agents from state `from` to state `to` — the sharded analogue
@@ -369,25 +346,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if either state is out of range
     /// or fewer than `k` agents are in `from`.
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        if from >= self.q || to >= self.q {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "states ({from}, {to}) outside the state space 0..{}",
-                    self.q
-                ),
-            });
-        }
-        if self.counts[from] < k {
-            return Err(SimError::InvalidParameter {
-                name: "transfer",
-                reason: format!(
-                    "cannot move {k} agents out of state {from} holding {}",
-                    self.counts[from]
-                ),
-            });
-        }
-        let mut remaining_total = self.counts[from];
+        self.config.check_transfer(from, to, k)?;
+        let mut remaining_total = self.config.count_of(from);
         let mut need = k;
         for shard in &mut self.shards {
             if need == 0 {
@@ -399,15 +359,13 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
             }
             let take = conditional_class_draw(&mut self.rng, c, remaining_total, need);
             if take > 0 {
-                shard.transfer(from, to, take)?;
+                shard.shard_access().config.move_agents(from, to, take);
             }
             need -= take;
             remaining_total -= c;
         }
         debug_assert_eq!(need, 0);
-        self.counts[from] -= k;
-        self.counts[to] += k;
-        self.occupied.mark(to);
+        self.config.move_agents(from, to, k);
         Ok(())
     }
 
@@ -419,9 +377,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// Returns [`SimError::InvalidParameter`] if `counts` has the wrong length
     /// or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
-        check_counts(&counts, self.q, self.n)?;
-        self.counts = counts;
-        self.occupied.rebuild(&self.counts);
+        self.config.set_counts(counts)?;
         self.rebalance();
         Ok(())
     }
@@ -450,14 +406,9 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        if k > self.n {
-            return Err(SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!("cannot corrupt {k} of {} agents", self.n),
-            });
-        }
+        self.config.check_victims(k)?;
         let mut result = Ok(());
-        let mut remaining_total = self.n;
+        let mut remaining_total = self.config.population();
         let mut need = k;
         for shard in &mut self.shards {
             if need == 0 {
@@ -477,7 +428,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         debug_assert!(result.is_err() || need == 0);
         // A failing shard may already have moved some agents, so the
         // aggregate is refreshed on the error path too.
-        self.aggregate_counts();
+        self.config
+            .aggregate(self.shards.iter().map(BatchedSimulator::config));
         result
     }
 
@@ -507,7 +459,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         self.alloc = alloc;
 
         // 4. Refresh the aggregate view and re-partition.
-        self.aggregate_counts();
+        self.config
+            .aggregate(self.shards.iter().map(BatchedSimulator::config));
         if s > 1 {
             self.rebalance();
         }
@@ -583,28 +536,12 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
             // Initiator states: a uniform without-replacement draw from shard
             // k; responder states likewise from shard l (disjoint shards, so
             // the chunk's agents are pairwise distinct by construction).
-            multivariate_hypergeometric_sparse(
-                &mut self.rng,
-                acc_k.counts,
-                acc_k.occupied.as_slice(),
-                m_k,
-                chunk,
-                &mut self.init_pairs,
-            );
-            for &(st, d) in &self.init_pairs {
-                acc_k.counts[st as usize] -= d;
-            }
-            multivariate_hypergeometric_sparse(
-                &mut self.rng,
-                acc_l.counts,
-                acc_l.occupied.as_slice(),
-                m_l,
-                chunk,
-                &mut self.resp_pairs,
-            );
-            for &(st, d) in &self.resp_pairs {
-                acc_l.counts[st as usize] -= d;
-            }
+            acc_k
+                .config
+                .take_sample(&mut self.rng, m_k, chunk, &mut self.init_pairs);
+            acc_l
+                .config
+                .take_sample(&mut self.rng, m_l, chunk, &mut self.resp_pairs);
             // Pair the margins uniformly; initiators' post-states stay in
             // shard k, responders' in shard l.
             let (protocol, delta) = (&self.protocol, &self.delta);
@@ -620,90 +557,47 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
                     touched_l.add(b, mult);
                 },
             );
-            acc_k.touched.merge_into(acc_k.counts, acc_k.occupied);
-            acc_l.touched.merge_into(acc_l.counts, acc_l.occupied);
+            acc_k.touched.merge_into(acc_k.config);
+            acc_l.touched.merge_into(acc_l.config);
             #[cfg(feature = "strict-invariants")]
             {
-                crate::block::assert_mass_conserved(
-                    acc_k.counts,
-                    m_k,
-                    "sharded cross-block delta (initiator shard)",
-                );
-                crate::block::assert_mass_conserved(
-                    acc_l.counts,
-                    m_l,
-                    "sharded cross-block delta (responder shard)",
-                );
+                acc_k
+                    .config
+                    .assert_mass_conserved("sharded cross-block delta (initiator shard)");
+                acc_l
+                    .config
+                    .assert_mass_conserved("sharded cross-block delta (responder shard)");
             }
             remaining -= chunk;
         }
     }
 
-    /// Rebuild the aggregate counts and occupancy from the shards.
-    fn aggregate_counts(&mut self) {
-        for &st in self.occupied.as_slice() {
-            self.counts[st as usize] = 0;
-        }
-        for shard in &self.shards {
-            let shard_counts = shard.counts();
-            for &st in shard.occupied_slice() {
-                let c = shard_counts[st as usize];
-                if c > 0 {
-                    self.counts[st as usize] += c;
-                    self.occupied.mark(st as usize);
-                }
-            }
-        }
-        self.occupied.compact(&self.counts);
-    }
-
     /// Re-partition the aggregate configuration uniformly at random into the
     /// fixed shard sizes: shard `k` receives a multivariate-hypergeometric
-    /// draw of `m_k` agents from the pool of agents not yet assigned.
+    /// draw of `m_k` agents from the pool of agents not yet assigned.  The
+    /// last shard's draw takes the whole rest of the pool, which consumes
+    /// no randomness.
     fn rebalance(&mut self) {
-        let s = self.shards.len();
         let mut pool = std::mem::take(&mut self.pool);
-        for &st in self.occupied.as_slice() {
-            pool[st as usize] = self.counts[st as usize];
+        let (counts, occupied) = (self.config.counts(), self.config.occupied());
+        for &st in occupied {
+            pool[st as usize] = counts[st as usize];
         }
-        let mut remaining_total = self.n;
-        for k in 0..s - 1 {
-            let m_k = self.sizes[k];
+        let mut remaining_total = self.config.population();
+        for (shard, &m_k) in self.shards.iter_mut().zip(&self.sizes) {
             multivariate_hypergeometric_sparse(
                 &mut self.rng,
                 &pool,
-                self.occupied.as_slice(),
+                occupied,
                 remaining_total,
                 m_k,
                 &mut self.init_pairs,
             );
-            let acc = self.shards[k].shard_access();
-            for &st in acc.occupied.as_slice() {
-                acc.counts[st as usize] = 0;
-            }
-            acc.occupied.clear();
             for &(st, c) in &self.init_pairs {
                 pool[st as usize] -= c;
-                acc.counts[st as usize] = c;
-                acc.occupied.mark(st as usize);
             }
+            shard.shard_access().config.refill(&self.init_pairs);
             remaining_total -= m_k;
-        }
-        // The last shard takes whatever remains (exactly m_{S−1} agents).
-        debug_assert_eq!(remaining_total, self.sizes[s - 1]);
-        let occupied = &self.occupied;
-        let acc = self.shards[s - 1].shard_access();
-        for &st in acc.occupied.as_slice() {
-            acc.counts[st as usize] = 0;
-        }
-        acc.occupied.clear();
-        for &st in occupied.as_slice() {
-            let c = pool[st as usize];
-            if c > 0 {
-                pool[st as usize] = 0;
-                acc.counts[st as usize] = c;
-                acc.occupied.mark(st as usize);
-            }
         }
         self.pool = pool;
     }
@@ -739,7 +633,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// Consume the simulator and return the final configuration counts.
     #[must_use]
     pub fn into_counts(self) -> Vec<u64> {
-        self.counts
+        self.config.into_counts()
     }
 
     /// Serialize the engine core into `out` (shared by the top-level
@@ -748,8 +642,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
     /// stores the protocol's state once itself).  The layout is documented
     /// on the [`Checkpointable`] impl.
     pub(crate) fn save_core(&self, include_protocol: bool, out: &mut Vec<u8>) {
-        self.n.persist(out);
-        self.q.persist(out);
+        self.config.population().persist(out);
+        self.config.num_states().persist(out);
         self.shards.len().persist(out);
         self.epoch_cap.persist(out);
         persist_rng(&self.rng, out);
@@ -760,13 +654,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         for shard in &self.shards {
             shard.save_core(false, out);
         }
-        let occ: Vec<(u32, u64)> = self
-            .occupied
-            .as_slice()
-            .iter()
-            .map(|&st| (st, self.counts[st as usize]))
-            .collect();
-        occ.persist(out);
+        self.config.save_occupied(out);
     }
 
     /// Restore a core written by [`Self::save_core`], rebuilding the
@@ -787,19 +675,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         } else {
             None
         };
-        if n != self.n {
-            return Err(SimError::SnapshotMismatch {
-                reason: format!("snapshot population {n} != simulator population {}", self.n),
-            });
-        }
-        if q != self.q {
-            return Err(SimError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot state space {q} != simulator state space {}",
-                    self.q
-                ),
-            });
-        }
+        self.config.check_shape(n, q)?;
         if s != self.shards.len() {
             return Err(SimError::SnapshotMismatch {
                 reason: format!(
@@ -826,21 +702,7 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         for shard in &mut self.shards {
             shard.restore_core(r, false)?;
         }
-        let occ = r.read::<Vec<(u32, u64)>>()?;
-        let total: u64 = occ.iter().map(|&(_, c)| c).sum();
-        if total != n {
-            return Err(SimError::SnapshotCorrupt {
-                reason: format!("aggregate counts sum to {total}, population is {n}"),
-            });
-        }
-        for &st in self.occupied.as_slice() {
-            self.counts[st as usize] = 0;
-        }
-        self.occupied
-            .restore_list(occ.iter().map(|&(st, _)| st).collect())?;
-        for &(st, c) in &occ {
-            self.counts[st as usize] = c;
-        }
+        self.config.restore_occupied(r, n, q)?;
         self.rng = rng;
         self.interactions = interactions;
         self.delta = DeltaTable::new(&self.protocol)?;

@@ -1,4 +1,5 @@
-//! The sequential simulator driving a single protocol execution.
+//! The sequential simulator driving a single protocol execution; the hybrid
+//! engine's [`DecodedStint`](crate::stint::DecodedStint) steps through it too.
 
 use rand::rngs::SmallRng;
 
@@ -63,6 +64,23 @@ impl<P: Protocol> Simulator<P, UniformScheduler> {
     /// Returns [`SimError::PopulationTooSmall`] if `n < 2`.
     pub fn new(protocol: P, n: usize, seed: u64) -> Result<Self, SimError> {
         Self::with_scheduler(protocol, n, seed, UniformScheduler::new())
+    }
+
+    /// A simulator over `states` that resumes the schedule from `rng` after
+    /// `interactions` steps (no population check).
+    pub(crate) fn from_parts(
+        protocol: P,
+        states: Vec<P::State>,
+        rng: SmallRng,
+        interactions: u64,
+    ) -> Self {
+        Simulator {
+            protocol,
+            scheduler: UniformScheduler::new(),
+            states,
+            rng,
+            interactions,
+        }
     }
 }
 
@@ -143,8 +161,20 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
         ConfigurationStats::from_states(&self.protocol, &self.states)
     }
 
+    /// The schedule RNG.
+    pub(crate) fn rng(&self) -> &SmallRng {
+        &self.rng
+    }
+
     /// Execute exactly one interaction.
     pub fn step(&mut self) {
+        self.step_pair();
+    }
+
+    /// Execute exactly one interaction and return the agents it paired,
+    /// `(initiator, responder)`.
+    #[inline]
+    pub(crate) fn step_pair(&mut self) -> (usize, usize) {
         let n = self.states.len();
         let (i, j) = self.scheduler.next_pair(n, &mut self.rng);
         debug_assert_ne!(i, j);
@@ -158,6 +188,7 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
         };
         self.protocol.interact(a, b, &mut self.rng);
         self.interactions += 1;
+        (i, j)
     }
 
     /// Execute `budget` further interactions unconditionally.

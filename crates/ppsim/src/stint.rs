@@ -17,16 +17,17 @@
 //!   on encode) plus a **native protocol** ([`AgentCodec::Native`]) whose
 //!   monomorphic [`Protocol::interact`] steps the decoded structs directly.
 //! * [`DecodedStint`] is the per-agent engine the hybrid engine runs between
-//!   migrations: it holds a `Vec` of native structs, steps them with
-//!   `Protocol::interact` — no interner lookup, no δ-memo probe — and
-//!   consults the codec only at the migration boundaries (expand on
-//!   dense → agent, tally + intern on agent → dense), so the hand-off stays
-//!   the exact Markov-in-configuration transfer.
+//!   migrations: a sequential [`Simulator`] over the codec's native protocol
+//!   steps the native structs with `Protocol::interact` — no interner
+//!   lookup, no δ-memo probe — and the codec is consulted only at the
+//!   migration boundaries (expand on dense → agent, tally + intern on
+//!   agent → dense), so the hand-off stays the exact
+//!   Markov-in-configuration transfer.
 //! * [`IndexCodec`] is the fallback codec for protocols without a native
 //!   decoding: the "native" state is the dense index itself, and stepping
 //!   goes through [`DenseProtocol::transition`](crate::DenseProtocol).  As a
 //!   plain [`Protocol`] it also runs dense protocols on the sequential
-//!   [`Simulator`](crate::Simulator).
+//!   [`Simulator`].
 //! * [`StintSource`] says where a stint starts — a configuration to expand
 //!   or bytes a checkpoint saved — so one hook,
 //!   [`DenseProtocol::agent_stint`], covers both construction and restore.
@@ -137,7 +138,7 @@ use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
-use crate::scheduler::{Scheduler, UniformScheduler};
+use crate::simulator::Simulator;
 use crate::snapshot::{persist_rng, unpersist_rng, PersistState, SnapshotReader};
 
 use rand::rngs::SmallRng;
@@ -532,9 +533,10 @@ impl<O> Clone for BoxedAgentStint<O> {
     }
 }
 
-/// A per-agent stint over **native structs**: a `Vec` of decoded states
-/// stepped by the codec's native [`Protocol::interact`], with the occupancy
-/// census maintained incrementally (see the module docs).
+/// A per-agent stint over **native structs**: a sequential
+/// [`Simulator`] over the codec's native protocol, stepping decoded states
+/// with [`Protocol::interact`], plus the occupancy census maintained
+/// incrementally (see the module docs).
 ///
 /// Construction decodes each occupied index once and fans the struct out by
 /// its multiplicity (the dense → agent boundary); [`Self::counts`] encodes
@@ -544,12 +546,8 @@ impl<O> Clone for BoxedAgentStint<O> {
 #[derive(Clone)]
 pub struct DecodedStint<P: AgentCodec> {
     codec: P,
-    native: P::Native,
-    states: Vec<<P::Native as Protocol>::State>,
+    sim: Simulator<P::Native>,
     census: Census,
-    scheduler: UniformScheduler,
-    rng: SmallRng,
-    interactions: u64,
 }
 
 impl<P: AgentCodec> DecodedStint<P> {
@@ -580,13 +578,9 @@ impl<P: AgentCodec> DecodedStint<P> {
         interactions: u64,
     ) -> Self {
         DecodedStint {
-            native: codec.native(),
-            codec,
             census: Census::new(&states),
-            states,
-            scheduler: UniformScheduler::new(),
-            rng,
-            interactions,
+            sim: Simulator::from_parts(codec.native(), states, rng, interactions),
+            codec,
         }
     }
 
@@ -647,25 +641,15 @@ impl<P: AgentCodec> DecodedStint<P> {
     /// Borrow the native per-agent states.
     #[must_use]
     pub fn states(&self) -> &[<P::Native as Protocol>::State] {
-        &self.states
+        self.sim.states()
     }
 
     /// Execute exactly one interaction and maintain the census.
     pub fn step(&mut self) {
-        let n = self.states.len();
-        let (i, j) = self.scheduler.next_pair(n, &mut self.rng);
-        debug_assert_ne!(i, j);
-        let (a, b) = if i < j {
-            let (lo, hi) = self.states.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
-        } else {
-            let (lo, hi) = self.states.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
-        self.native.interact(a, b, &mut self.rng);
-        self.interactions += 1;
-        self.census.refresh(i, &self.states[i]);
-        self.census.refresh(j, &self.states[j]);
+        let (i, j) = self.sim.step_pair();
+        let states = self.sim.states();
+        self.census.refresh(i, &states[i]);
+        self.census.refresh(j, &states[j]);
     }
 }
 
@@ -673,8 +657,8 @@ impl<P: AgentCodec> fmt::Debug for DecodedStint<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DecodedStint")
             .field("kind", &self.codec.stint_label())
-            .field("population", &self.states.len())
-            .field("interactions", &self.interactions)
+            .field("population", &self.sim.population())
+            .field("interactions", &self.sim.interactions())
             .field("occupied", &self.census.occupied)
             .finish_non_exhaustive()
     }
@@ -694,11 +678,11 @@ where
     }
 
     fn interactions(&self) -> u64 {
-        self.interactions
+        self.sim.interactions()
     }
 
     fn population(&self) -> usize {
-        self.states.len()
+        self.sim.population()
     }
 
     fn occupied_states(&self) -> usize {
@@ -714,7 +698,7 @@ where
             usize,
             BuildHasherDefault<StateHasher>,
         > = HashMap::default();
-        for state in &self.states {
+        for state in self.sim.states() {
             let idx = *index_of
                 .entry(state.clone())
                 .or_insert_with(|| self.codec.encode_agent(state));
@@ -724,15 +708,15 @@ where
     }
 
     fn count_of(&self, state: usize) -> u64 {
-        count_agents(&self.codec, &self.states, state)
+        count_agents(&self.codec, self.sim.states(), state)
     }
 
     fn output_stats(&self) -> ConfigurationStats<<P as DenseProtocol>::Output> {
-        ConfigurationStats::from_states(&self.native, &self.states)
+        self.sim.output_stats()
     }
 
     fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        transfer_agents(&self.codec, &mut self.states, from, to, k, |i, s| {
+        transfer_agents(&self.codec, self.sim.states_mut(), from, to, k, |i, s| {
             self.census.refresh(i, s);
         })
     }
@@ -743,9 +727,16 @@ where
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        corrupt_agents(&self.codec, &mut self.states, k, rng, new_state, |i, s| {
-            self.census.refresh(i, s);
-        })
+        corrupt_agents(
+            &self.codec,
+            self.sim.states_mut(),
+            k,
+            rng,
+            new_state,
+            |i, s| {
+                self.census.refresh(i, s);
+            },
+        )
     }
 
     fn kind(&self) -> &'static str {
@@ -757,9 +748,12 @@ where
     }
 
     fn save_stint(&self, out: &mut Vec<u8>) {
-        self.interactions.persist(out);
-        persist_rng(&self.rng, out);
-        self.states.persist(out);
+        self.sim.interactions().persist(out);
+        persist_rng(self.sim.rng(), out);
+        // The states in the `Vec` encoding: length prefix, then the items.
+        let states = self.sim.states();
+        (states.len() as u64).persist(out);
+        PersistState::persist_slice(states, out);
     }
 }
 

@@ -8,8 +8,9 @@
 use popcount::{CountExactParams, DenseCountExact};
 use ppsim::snapshot::{crc32, ENGINE_BATCHED, ENGINE_SEQUENTIAL, SNAPSHOT_MAGIC};
 use ppsim::{
-    BatchedSimulator, Checkpointable, DenseProtocol, DenseSimulator, Engine, EngineSnapshot,
-    HybridSimulator, HybridSubstrate, Protocol, SimError, Simulator, SNAPSHOT_VERSION,
+    seeded_rng, BatchedSimulator, Checkpointable, DenseProtocol, DenseSimulator, Engine,
+    EngineSnapshot, HybridSimulator, HybridSubstrate, Protocol, ShardedBatchedSimulator,
+    ShardedConfig, SimError, Simulator, SNAPSHOT_VERSION,
 };
 use rand::rngs::SmallRng;
 
@@ -28,6 +29,26 @@ impl DenseProtocol for Rumor {
     }
     fn output(&self, s: usize) -> bool {
         s == 1
+    }
+}
+
+/// A five-state max-epidemic: states only grow, so low states can empty and
+/// a corruption can re-occupy them.
+#[derive(Debug, Clone, Copy)]
+struct Max5;
+impl DenseProtocol for Max5 {
+    type Output = usize;
+    fn num_states(&self) -> usize {
+        5
+    }
+    fn initial_state(&self) -> usize {
+        0
+    }
+    fn transition(&self, u: usize, v: usize) -> (usize, usize) {
+        (u.max(v), v)
+    }
+    fn output(&self, s: usize) -> usize {
+        s
     }
 }
 
@@ -69,6 +90,61 @@ fn golden_batched_snapshot_bytes_are_pinned() {
          02540000000000000004000000000000000200000000000000\
          c3dd56fdc1235e8d08856fa2f7082263d0f294247e8601088c51c766153e44b3\
          070000000000000000000000000000000100000000000000010000000400000000000000401433f7"
+    );
+}
+
+/// The batched frame after `transfer`, `run`, `set_counts` (occupied list
+/// rebuilt in index order), `corrupt` into a state it left empty (appended
+/// in discovery order) and `run`, pinned as above, list order included.
+#[test]
+fn golden_batched_mutated_snapshot_bytes_are_pinned() {
+    let mut sim = BatchedSimulator::new(Max5, 20, 3).unwrap();
+    sim.transfer(0, 2, 3).unwrap();
+    sim.run(20);
+    sim.set_counts(vec![8, 0, 6, 6, 0]).unwrap();
+    sim.corrupt(3, &mut seeded_rng(5), &mut |_, _| 1).unwrap();
+    sim.run(12);
+    let bytes = sim.save_state().to_bytes();
+    assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(
+        format!("{}{}", hex(&bytes[..4]), hex(&bytes[8..])),
+        "50505353\
+         02780000000000000014000000000000000500000000000000de1b744ca27afa22b91b4f050dfb59614a9df7\
+         3151ff627f0940a50f898853df20000000000000000000000000000000040000000000000000000000030000\
+         0000000000020000000300000000000000030000000b00000000000000010000000300000000000000e4c4ce\
+         42"
+    );
+}
+
+/// The sharded frame after the same five steps on two shards with a short
+/// epoch window (master state, both shard cores, aggregate list).
+#[test]
+fn golden_sharded_snapshot_bytes_are_pinned() {
+    let config = ShardedConfig {
+        shards: 2,
+        threads: 1,
+        epoch_interactions: Some(8),
+    };
+    let mut sim = ShardedBatchedSimulator::new(Max5, 20, 3, config).unwrap();
+    sim.transfer(0, 2, 3).unwrap();
+    sim.run(20);
+    sim.set_counts(vec![8, 0, 6, 6, 0]).unwrap();
+    sim.corrupt(3, &mut seeded_rng(5), &mut |_, _| 1).unwrap();
+    sim.run(12);
+    let bytes = sim.save_state().to_bytes();
+    assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(
+        format!("{}{}", hex(&bytes[..4]), hex(&bytes[8..])),
+        "50505353\
+         035c0100000000000014000000000000000500000000000000020000000000000008000000000000009248e3\
+         2d0c82c12b1e5924bc79866490e96a2713ce1e228ae4977b2929a7d6e2200000000000000000000000000000\
+         000a000000000000000500000000000000d280310d4e383423825e1636dbf4e9011a254c29efb95200ab5365\
+         2454083b66090000000000000003000000000000000200000004000000000000000300000004000000000000\
+         000100000002000000000000000a000000000000000500000000000000402703284bfa8c5038055b00b28b55\
+         37037aba512d82e8c0cb12487f39471e7f060000000000000004000000000000000000000004000000000000\
+         0002000000020000000000000003000000020000000000000001000000020000000000000004000000000000\
+         0000000000040000000000000002000000060000000000000003000000060000000000000001000000040000\
+         0000000000ca9a0a0f"
     );
 }
 
