@@ -126,8 +126,13 @@ impl CountExactParams {
     /// and a run may migrate several times (a converged run at `n = 10⁵`
     /// interns ≈ `0.5n` distinct states).  So the index space must scale
     /// with `n`: `16n` with a `2²²` floor, clamped to the interner's `u32`
-    /// ceiling.  Capacity only sizes flat engine buffers (see
-    /// [`ppsim::interned`]), so the headroom costs memory, never time.
+    /// ceiling.  Capacity only sizes flat engine buffers, so the headroom
+    /// costs no time per block or per restore, but every step that
+    /// allocates, fills, copies or scans a buffer pays for its length (see
+    /// [`ppsim::interned`]): each hybrid migration scans or tallies a
+    /// capacity-long counts vector, a migration back to counts also checks
+    /// it and rebuilds the occupancy over it, and an owned `counts()` of a
+    /// dense run copies it.
     #[must_use]
     pub fn dense_capacity(n: usize) -> usize {
         n.saturating_mul(16).max(1 << 22).min(u32::MAX as usize - 1)

@@ -62,7 +62,7 @@ use rand::rngs::SmallRng;
 use crate::block::{CountConfig, DeltaTable, TouchSet};
 use crate::config::ConfigurationStats;
 use crate::convergence::{self, RunOutcome};
-use crate::dense::DenseProtocol;
+use crate::dense::{assigned_states, DenseProtocol};
 use crate::error::SimError;
 use crate::rng::seeded_rng;
 use crate::sample::CollisionSampler;
@@ -442,7 +442,8 @@ impl<P: DenseProtocol> BatchedSimulator<P> {
             let protocol_bytes = r.read::<Vec<u8>>()?;
             self.protocol.restore_protocol_state(&protocol_bytes)?;
         }
-        self.config.restore_occupied(r, n, q)?;
+        self.config
+            .restore_occupied(r, n, q, assigned_states(&self.protocol))?;
         self.rng = rng;
         self.interactions = interactions;
         self.delta = DeltaTable::new(&self.protocol)?;

@@ -26,7 +26,6 @@ use std::cell::RefCell;
 // Keyed memo lookups only, with a deterministic hasher; iteration
 // order never feeds a simulation decision. ppcheck: allow(hashmap-iter)
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -34,6 +33,7 @@ use rand::Rng;
 use crate::config::ConfigurationStats;
 use crate::dense::{check_counts, DenseProtocol};
 use crate::error::SimError;
+use crate::interned::FxBuildHasher;
 use crate::sample::{conditional_class_draw, multivariate_hypergeometric_sparse};
 use crate::snapshot::{PersistState, SnapshotReader};
 
@@ -42,29 +42,9 @@ use crate::snapshot::{PersistState, SnapshotReader};
 /// state pairs only.
 pub(crate) const TABLE_MAX_STATES: usize = 256;
 
-/// A minimal multiplicative hasher for the `δ`-memo's `u64` pair keys
-/// (`initiator << 32 | responder`): a single `wrapping_mul` mixes the bits far
-/// faster than SipHash, and the memo is engine-private so no untrusted keys
-/// reach it.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PairKeyHasher(u64);
-
-impl Hasher for PairKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u64(&mut self, i: u64) {
-        // Fibonacci-style multiplicative mix; the odd constant is 2⁶⁴/φ.
-        self.0 = (self.0 ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type PairMemo = HashMap<u64, (u32, u32), BuildHasherDefault<PairKeyHasher>>;
+/// The `δ`-memo, keyed by `initiator << 32 | responder`.  The memo is
+/// engine-private, so no untrusted keys reach its unkeyed hasher.
+type PairMemo = HashMap<u64, (u32, u32), FxBuildHasher>;
 
 /// Entry cap for the δ-pair memo.  Hits come from the small *currently
 /// occupied* pair set (a few thousand entries); protocols whose state churn
@@ -252,8 +232,9 @@ impl Occupancy {
         }
     }
 
-    /// Restore the occupied list **verbatim**, in the given order, rebuilding
-    /// the membership bitmap to match.
+    /// Replace the occupied list **verbatim**, in the given order, and
+    /// return the list it replaced.  The membership bitmap follows in
+    /// `O(old list + new list)`, never `O(q)`.
     ///
     /// [`Self::rebuild`] orders the list by state index, but the engines'
     /// categorical draws ([`draw_one`], the hypergeometric splits) iterate
@@ -263,27 +244,38 @@ impl Occupancy {
     ///
     /// # Errors
     ///
-    /// [`SimError::SnapshotCorrupt`] if an entry is out of range for this
-    /// occupancy's state space or appears twice.
-    pub(crate) fn restore_list(&mut self, list: Vec<u32>) -> Result<(), SimError> {
-        self.flags.fill(false);
-        let q = self.flags.len();
-        for &s in &list {
-            let flag = self
-                .flags
-                .get_mut(s as usize)
-                .ok_or_else(|| SimError::SnapshotCorrupt {
-                    reason: format!("occupied state {s} outside the state space 0..{q}"),
-                })?;
-            if *flag {
-                return Err(SimError::SnapshotCorrupt {
-                    reason: format!("occupied list repeats state {s}"),
-                });
-            }
-            *flag = true;
+    /// [`SimError::SnapshotCorrupt`] if an entry is not below `assigned`
+    /// (at most `q`: a dynamic protocol has no state behind an index its
+    /// interner never assigned) or appears twice.  The occupancy is then
+    /// left as it was.
+    pub(crate) fn restore_list(
+        &mut self,
+        list: Vec<u32>,
+        assigned: usize,
+    ) -> Result<Vec<u32>, SimError> {
+        debug_assert!(assigned <= self.flags.len());
+        for &s in &self.list {
+            self.flags[s as usize] = false;
         }
-        self.list = list;
-        Ok(())
+        for (k, &s) in list.iter().enumerate() {
+            let reason = if s as usize >= assigned {
+                format!("occupied state {s} outside the assigned states 0..{assigned}")
+            } else if self.flags[s as usize] {
+                format!("occupied list repeats state {s}")
+            } else {
+                self.flags[s as usize] = true;
+                continue;
+            };
+            // Rejected: put the bitmap back the way the current list has it.
+            for &t in &list[..k] {
+                self.flags[t as usize] = false;
+            }
+            for &t in &self.list {
+                self.flags[t as usize] = true;
+            }
+            return Err(SimError::SnapshotCorrupt { reason });
+        }
+        Ok(std::mem::replace(&mut self.list, list))
     }
 }
 
@@ -590,12 +582,16 @@ impl<O: Clone + PartialEq> CountConfig<O> {
     }
 
     /// Read what [`Self::save_occupied`] wrote for a snapshot of `n` agents
-    /// over `q` states, check it, and install it verbatim.
+    /// over `q` states, check it, and install it verbatim in
+    /// `O(old list + new list)`.  `assigned` bounds the state indices the
+    /// list may name (see [`Occupancy::restore_list`]).  On an error the
+    /// configuration is left as it was.
     pub(crate) fn restore_occupied(
         &mut self,
         r: &mut SnapshotReader<'_>,
         n: u64,
         q: usize,
+        assigned: usize,
     ) -> Result<(), SimError> {
         let occ = r.read::<Vec<(u32, u64)>>()?;
         self.check_shape(n, q)?;
@@ -605,12 +601,13 @@ impl<O: Clone + PartialEq> CountConfig<O> {
                 reason: format!("occupied counts sum to {total}, population is {n}"),
             });
         }
-        // Every non-zero count is on the old list, so this zeroes them all.
-        for &s in self.occupied.as_slice() {
+        let previous = self
+            .occupied
+            .restore_list(occ.iter().map(|&(s, _)| s).collect(), assigned)?;
+        // Every non-zero count is on the previous list, so this zeroes them all.
+        for s in previous {
             self.counts[s as usize] = 0;
         }
-        self.occupied
-            .restore_list(occ.iter().map(|&(s, _)| s).collect())?;
         for &(s, c) in &occ {
             self.counts[s as usize] = c;
         }
@@ -726,7 +723,7 @@ mod tests {
     #[test]
     fn occupancy_restores_a_verbatim_list_order() {
         let mut occ = Occupancy::new(6, 0);
-        occ.restore_list(vec![4, 1, 3]).unwrap();
+        assert_eq!(occ.restore_list(vec![4, 1, 3], 6).unwrap(), vec![0]);
         assert_eq!(occ.as_slice(), &[4, 1, 3], "discovery order is preserved");
         occ.mark(1); // already present: no duplicate
         assert_eq!(occ.as_slice(), &[4, 1, 3]);
@@ -734,9 +731,52 @@ mod tests {
         assert_eq!(occ.as_slice(), &[4, 1, 3, 5]);
 
         let mut occ = Occupancy::new(4, 0);
-        assert!(occ.restore_list(vec![1, 9]).is_err(), "out of range");
+        assert!(occ.restore_list(vec![1, 9], 4).is_err(), "out of range");
         let mut occ = Occupancy::new(4, 0);
-        assert!(occ.restore_list(vec![1, 2, 1]).is_err(), "duplicate");
+        assert!(occ.restore_list(vec![1, 2, 1], 4).is_err(), "duplicate");
+        let mut occ = Occupancy::new(4, 0);
+        assert!(occ.restore_list(vec![1, 3], 3).is_err(), "never assigned");
+    }
+
+    /// The bitmap marks exactly the list's states.
+    fn assert_flags_match_list(occ: &Occupancy) {
+        for (s, &flag) in occ.flags.iter().enumerate() {
+            assert_eq!(
+                flag,
+                occ.list.contains(&(s as u32)),
+                "state {s}: flag {flag} disagrees with list {:?}",
+                occ.list
+            );
+        }
+    }
+
+    #[test]
+    fn occupancy_restore_keeps_flags_and_list_in_agreement() {
+        let mut occ = Occupancy::new(64, 7);
+        for s in [40, 3, 63, 12, 7, 29] {
+            occ.mark(s);
+        }
+        let before = occ.as_slice().to_vec();
+        assert_flags_match_list(&occ);
+
+        // Rejected lists: one that repeats a state after marking several,
+        // one that runs past the assigned states.  Neither may leave a flag
+        // behind or drop one of the current list's.
+        for (bad, assigned) in [(vec![5, 40, 9, 5], 64), (vec![1, 2, 50], 48)] {
+            assert!(occ.restore_list(bad, assigned).is_err());
+            assert_eq!(occ.as_slice(), &before[..]);
+            assert_flags_match_list(&occ);
+        }
+
+        // An accepted list overlapping the previous one replaces it whole.
+        let previous = occ.restore_list(vec![63, 0, 12, 50], 64).unwrap();
+        assert_eq!(previous, before);
+        assert_eq!(occ.as_slice(), &[63, 0, 12, 50]);
+        assert_flags_match_list(&occ);
+        occ.mark(3);
+        occ.mark(12);
+        assert_eq!(occ.as_slice(), &[63, 0, 12, 50, 3]);
+        assert_flags_match_list(&occ);
     }
 
     #[test]

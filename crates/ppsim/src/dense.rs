@@ -207,6 +207,16 @@ pub trait DenseProtocol {
     }
 }
 
+/// How many state indices, from 0 up, have a state behind them: the
+/// interner's census for dynamic protocols
+/// ([`DenseProtocol::discovered_states`]), the whole state space otherwise.
+/// Snapshot restores reject any state index at or above it, which a run
+/// would otherwise only discover by panicking mid-block.
+pub(crate) fn assigned_states<P: DenseProtocol>(protocol: &P) -> usize {
+    let q = protocol.num_states();
+    protocol.discovered_states().map_or(q, |d| d.min(q))
+}
+
 /// Check that `counts` is a configuration of `n` agents over `q` states:
 /// the validation every engine's `set_counts` shares.
 ///

@@ -28,7 +28,7 @@
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
 use crate::convergence::{self, RunOutcome};
-use crate::dense::{check_counts, DenseProtocol};
+use crate::dense::{assigned_states, check_counts, DenseProtocol};
 use crate::error::SimError;
 use crate::hybrid::{HybridLegs, HybridSimulator};
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
@@ -222,10 +222,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
             DenseSimulator::Sequential(_) => f(&self.counts()),
             DenseSimulator::Batched(s) => f(s.counts()),
             DenseSimulator::Sharded(s) => f(s.counts()),
-            DenseSimulator::Hybrid(s) => match s.as_dense_counts() {
-                Some(counts) => f(counts),
-                None => f(&s.counts()),
-            },
+            DenseSimulator::Hybrid(s) => s.with_counts(f),
         }
     }
 
@@ -473,6 +470,12 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
 /// Vec<u8>   protocol state (DenseProtocol::save_protocol_state)
 /// Vec<u8>   inner sequential-engine payload
 /// ```
+///
+/// The sequential variant and the count-based engines (including the
+/// hybrid engine's dense substrate) reject a snapshot naming a state index
+/// the restored protocol state never assigned — an interned protocol's
+/// index beyond its census — with [`SimError::SnapshotCorrupt`], instead of
+/// accepting it and panicking at the next interaction that reads the index.
 impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for DenseSimulator<P> {
     fn save_state(&self) -> EngineSnapshot {
         match self {
@@ -497,7 +500,16 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for DenseSimulato
                 let inner_bytes = r.read::<Vec<u8>>()?;
                 r.finish()?;
                 s.protocol().0.restore_protocol_state(&protocol_bytes)?;
-                s.restore_state(&EngineSnapshot::new(ENGINE_SEQUENTIAL, inner_bytes))
+                s.restore_state(&EngineSnapshot::new(ENGINE_SEQUENTIAL, inner_bytes))?;
+                let assigned = assigned_states(&s.protocol().0);
+                match s.states().iter().find(|&&a| a as usize >= assigned) {
+                    Some(a) => Err(SimError::SnapshotCorrupt {
+                        reason: format!(
+                            "agent state {a} outside the assigned states 0..{assigned}"
+                        ),
+                    }),
+                    None => Ok(()),
+                }
             }
             DenseSimulator::Batched(s) => s.restore_state(snapshot),
             DenseSimulator::Sharded(s) => s.restore_state(snapshot),

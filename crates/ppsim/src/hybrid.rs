@@ -585,15 +585,26 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
         }
     }
 
-    /// The current configuration as state counts (owned; in per-agent mode
-    /// the stint tallies its native states back through the codec, interning
-    /// any state minted since the stint began).
+    /// The current configuration as state counts, owned: in dense mode a
+    /// copy of the substrate's vector, as long as the state space (borrow it
+    /// with [`Self::as_dense_counts`] instead); in per-agent mode the stint
+    /// tallies its native states back through the codec into a vector of
+    /// that length, interning any state minted since the stint began.
     #[must_use]
     pub fn counts(&self) -> Vec<u64> {
         match &self.mode {
             Mode::Batched(s) => s.counts().to_vec(),
             Mode::Sharded(s) => s.counts().to_vec(),
             Mode::Agent(s) => s.counts(),
+        }
+    }
+
+    /// Run `f` over the configuration's state counts: borrowed from the
+    /// substrate in dense mode, tallied by the stint in per-agent mode.
+    pub(crate) fn with_counts<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
+        match self.as_dense_counts() {
+            Some(counts) => f(counts),
+            None => f(&self.counts()),
         }
     }
 
@@ -783,10 +794,14 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             SwitchDirection::ToAgent => {
                 // The stint expands in state-index order: a fixed,
                 // representation-independent layout, so the hand-off is a
-                // pure function of the configuration.
-                let stint = self.build_stint(StintSource::Counts {
-                    counts: &self.counts(),
-                    seed: switch_seed,
+                // pure function of the configuration.  It reads the
+                // substrate's counts in place: a copy would cost a vector as
+                // long as the state space at every switch.
+                let stint = self.with_counts(|counts| {
+                    self.build_stint(StintSource::Counts {
+                        counts,
+                        seed: switch_seed,
+                    })
                 })?;
                 debug_assert_eq!(
                     stint.population() as u64,
@@ -994,6 +1009,18 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// equality a valid trajectory-equality check (the fault-injection harness
 /// relies on it).
 ///
+/// A dense-mode snapshot is restored into the live batched or sharded
+/// engine **in place**: its state-space-long buffers are reused, so the
+/// restore costs what the snapshot holds (the interner contents and the
+/// occupied list), not what the state space reserves.  Only a simulator in
+/// per-agent mode builds a substrate to restore into.
+///
+/// The header checks (engine tag, population, substrate) run before
+/// anything changes, so a snapshot of another simulator leaves this one as
+/// it was.  A snapshot that fails a later check, once its protocol state
+/// (the interner contents) is installed, leaves the simulator unfit to run
+/// until a good snapshot is restored into it.
+///
 /// The fields that shape the trajectory (population and substrate, with its
 /// shard count) are validated against the restore target; the thread budget
 /// is not (it never shapes the trajectory).  A
@@ -1098,9 +1125,13 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
             });
         }
         let stint_kind = stint_kind_from_tag(r.read::<u8>()?)?;
-        let protocol_bytes = r.read::<Vec<u8>>()?;
+        // The two byte fields are read in place, as `Vec<u8>` encodings
+        // (length prefix, then the bytes), rather than copied out.
+        let protocol_len = r.read::<usize>()?;
+        let protocol_bytes = r.take(protocol_len)?;
         let mode_tag = r.read::<u8>()?;
-        let mode_bytes = r.read::<Vec<u8>>()?;
+        let mode_len = r.read::<usize>()?;
+        let mode_bytes = r.take(mode_len)?;
         r.finish()?;
 
         if n != self.n {
@@ -1128,24 +1159,33 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
             });
         }
 
-        // Protocol state before any engine construction: rebuilt δ-tables and
-        // restored stints must see the checkpoint's interner contents.
-        self.protocol.restore_protocol_state(&protocol_bytes)?;
-        let mode = match mode_tag {
+        // Protocol state before any engine is touched: rebuilt δ-tables,
+        // the occupied-list checks and restored stints must see the
+        // checkpoint's interner contents.
+        self.protocol.restore_protocol_state(protocol_bytes)?;
+        match mode_tag {
             MODE_DENSE => {
-                let mut mode =
-                    Self::dense_mode(&self.protocol, self.n as usize, seed, self.substrate, None)?;
-                let mut core = SnapshotReader::new(&mode_bytes);
-                match &mut mode {
+                // A dense simulator restores its live substrate in place;
+                // only a per-agent one needs a substrate built first.
+                if !self.is_dense() {
+                    self.mode = Self::dense_mode(
+                        &self.protocol,
+                        self.n as usize,
+                        seed,
+                        self.substrate,
+                        None,
+                    )?;
+                }
+                let mut core = SnapshotReader::new(mode_bytes);
+                match &mut self.mode {
                     Mode::Batched(s) => s.restore_core(&mut core, false)?,
                     Mode::Sharded(s) => s.restore_core(&mut core, false)?,
-                    Mode::Agent(_) => unreachable!("dense_mode never builds a stint"),
+                    Mode::Agent(_) => unreachable!("the simulator is in dense mode"),
                 }
                 core.finish()?;
-                mode
             }
             MODE_AGENT => {
-                let stint = self.build_stint(StintSource::Saved(&mode_bytes))?;
+                let stint = self.build_stint(StintSource::Saved(mode_bytes))?;
                 if stint_kind != Some(stint.kind()) {
                     return Err(SimError::SnapshotMismatch {
                         reason: format!(
@@ -1157,17 +1197,16 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                         ),
                     });
                 }
-                Mode::Agent(stint)
+                self.mode = Mode::Agent(stint);
             }
             other => {
                 return Err(SimError::SnapshotCorrupt {
                     reason: format!("unknown hybrid mode tag {other}"),
                 })
             }
-        };
+        }
 
         self.seed = seed;
-        self.mode = mode;
         self.completed = completed;
         self.dense_total = dense_total;
         self.agent_total = agent_total;

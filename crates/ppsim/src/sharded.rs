@@ -109,7 +109,7 @@ use crate::batched::BatchedSimulator;
 use crate::block::{CountConfig, DeltaTable};
 use crate::config::ConfigurationStats;
 use crate::convergence::{self, RunOutcome};
-use crate::dense::DenseProtocol;
+use crate::dense::{assigned_states, DenseProtocol};
 use crate::error::SimError;
 use crate::parallel::run_chunked;
 use crate::rng::{derive_seed, seeded_rng};
@@ -702,7 +702,8 @@ impl<P: DenseProtocol + Clone + Send> ShardedBatchedSimulator<P> {
         for shard in &mut self.shards {
             shard.restore_core(r, false)?;
         }
-        self.config.restore_occupied(r, n, q)?;
+        self.config
+            .restore_occupied(r, n, q, assigned_states(&self.protocol))?;
         self.rng = rng;
         self.interactions = interactions;
         self.delta = DeltaTable::new(&self.protocol)?;

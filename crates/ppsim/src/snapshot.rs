@@ -106,24 +106,32 @@ pub const ENGINE_COMPOSITE_BASE: u8 = 0x10;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over `bytes`.
 ///
-/// Slicing-by-8 and dependency-free: eight lookup tables fold eight input
-/// bytes per step, and a byte-at-a-time loop finishes the tail.  This is the
-/// checksum in every snapshot trailer.
+/// Slicing-by-16 and dependency-free: sixteen lookup tables fold sixteen
+/// input bytes per step, and a byte-at-a-time loop finishes the tail.  This
+/// is the checksum in every snapshot trailer.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = u32::MAX;
-    let mut words = bytes.chunks_exact(8);
+    let mut words = bytes.chunks_exact(16);
     for w in &mut words {
         let [a, b, c, d] = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
-        crc = t[7][usize::from(a)]
-            ^ t[6][usize::from(b)]
-            ^ t[5][usize::from(c)]
-            ^ t[4][usize::from(d)]
-            ^ t[3][usize::from(w[4])]
-            ^ t[2][usize::from(w[5])]
-            ^ t[1][usize::from(w[6])]
-            ^ t[0][usize::from(w[7])];
+        crc = t[15][usize::from(a)]
+            ^ t[14][usize::from(b)]
+            ^ t[13][usize::from(c)]
+            ^ t[12][usize::from(d)]
+            ^ t[11][usize::from(w[4])]
+            ^ t[10][usize::from(w[5])]
+            ^ t[9][usize::from(w[6])]
+            ^ t[8][usize::from(w[7])]
+            ^ t[7][usize::from(w[8])]
+            ^ t[6][usize::from(w[9])]
+            ^ t[5][usize::from(w[10])]
+            ^ t[4][usize::from(w[11])]
+            ^ t[3][usize::from(w[12])]
+            ^ t[2][usize::from(w[13])]
+            ^ t[1][usize::from(w[14])]
+            ^ t[0][usize::from(w[15])];
     }
     for &b in words.remainder() {
         crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ b)];
@@ -133,10 +141,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// `CRC32_TABLES[k][i]` advances the CRC register over byte `i` followed by
 /// `k` zero bytes; row 0 is the classic byte-at-a-time table.
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -153,7 +161,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];

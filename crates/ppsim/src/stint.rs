@@ -4,10 +4,10 @@
 //! run to per-agent simulation when the count representation degenerates.
 //! Stepping **dense `u32` indices** there would walk every interaction of a
 //! dynamic protocol through decode → interact → re-encode in the
-//! [`StateInterner`](crate::StateInterner) (two `RwLock`ed map probes and two
-//! SipHash evaluations per interaction), which cost a measured ~40 % of the
-//! `CountExact` refinement leg at `n = 10⁵` — exactly the `Θ(n)`-live-loads
-//! regime where per-agent simulation carries the run.
+//! [`StateInterner`](crate::StateInterner) (four `RwLock`ed interner calls
+//! per interaction, two of them index probes), which cost a measured ~40 %
+//! of the `CountExact` refinement leg at `n = 10⁵` — exactly the
+//! `Θ(n)`-live-loads regime where per-agent simulation carries the run.
 //!
 //! This module keeps the interner out of that hot loop:
 //!
@@ -131,11 +131,12 @@
 // never iterated in replay-sensitive paths. ppcheck: allow(hashmap-iter)
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 
 use crate::config::ConfigurationStats;
 use crate::dense::DenseProtocol;
 use crate::error::SimError;
+use crate::interned::{fx_hash, FxBuildHasher};
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
 use crate::simulator::Simulator;
@@ -143,55 +144,6 @@ use crate::snapshot::{persist_rng, unpersist_rng, PersistState, SnapshotReader};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// A multiplicative word hasher (FxHash-style) for the stint's census: state
-/// structs are hashed word-at-a-time far faster than SipHash, and the census
-/// is engine-private so no untrusted keys reach it.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct StateHasher(u64);
-
-impl Hasher for StateHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            // `chunks_exact(8)` yields 8-byte slices only. ppcheck: allow(no-unwrap)
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = 0u64;
-        for (i, &b) in chunks.remainder().iter().enumerate() {
-            tail |= u64::from(b) << (8 * i);
-        }
-        if !chunks.remainder().is_empty() {
-            self.write_u64(tail);
-        }
-    }
-    fn write_u8(&mut self, i: u8) {
-        self.write_u64(u64::from(i));
-    }
-    fn write_u16(&mut self, i: u16) {
-        self.write_u64(u64::from(i));
-    }
-    fn write_u32(&mut self, i: u32) {
-        self.write_u64(u64::from(i));
-    }
-    fn write_u64(&mut self, i: u64) {
-        // Rotate + xor + multiply by 2⁶⁴/φ: the classic Fx mixing step.
-        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
-    }
-}
-
-/// Hash a state value with the census hasher.
-fn state_hash<S: Hash>(state: &S) -> u64 {
-    let mut h = StateHasher::default();
-    state.hash(&mut h);
-    h.finish()
-}
 
 /// A stint's incremental occupancy census (see the module docs), kept in
 /// one field so it can be refreshed while the state vector is borrowed.
@@ -201,14 +153,14 @@ struct Census {
     /// pre-interaction state on updates).
     hashes: Vec<u64>,
     /// 64-bit state hash → number of agents.
-    multiplicity: HashMap<u64, u64, BuildHasherDefault<StateHasher>>,
+    multiplicity: HashMap<u64, u64, FxBuildHasher>,
     /// Distinct hashes with at least one agent.
     occupied: usize,
 }
 
 impl Census {
     fn new<S: Hash>(states: &[S]) -> Self {
-        let hashes: Vec<u64> = states.iter().map(state_hash).collect();
+        let hashes: Vec<u64> = states.iter().map(fx_hash).collect();
         let mut multiplicity = HashMap::default();
         for &h in &hashes {
             *multiplicity.entry(h).or_insert(0) += 1;
@@ -222,7 +174,7 @@ impl Census {
 
     /// Re-census agent `idx`, now in `state`, after a possible state change.
     fn refresh<S: Hash>(&mut self, idx: usize, state: &S) {
-        let new_hash = state_hash(state);
+        let new_hash = fx_hash(state);
         let old_hash = self.hashes[idx];
         if new_hash == old_hash {
             return;
@@ -692,12 +644,9 @@ where
     fn counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.codec.num_states()];
         // Deduplicate through a local index cache so each distinct state
-        // hits the (locked, SipHashed) interner once, not once per agent.
-        let mut index_of: HashMap<
-            <P::Native as Protocol>::State,
-            usize,
-            BuildHasherDefault<StateHasher>,
-        > = HashMap::default();
+        // hits the locked interner once, not once per agent.
+        let mut index_of: HashMap<<P::Native as Protocol>::State, usize, FxBuildHasher> =
+            HashMap::default();
         for state in self.sim.states() {
             let idx = *index_of
                 .entry(state.clone())
@@ -991,12 +940,5 @@ mod tests {
             DecodedStint::boxed(IndexCodec(Rumor), StintSource::Saved(&bytes)),
             Err(SimError::SnapshotCorrupt { .. })
         ));
-    }
-
-    #[test]
-    fn state_hasher_distinguishes_field_orderings() {
-        // Sanity: the word-mixer is order-sensitive (rotate before xor).
-        assert_ne!(state_hash(&(1u64, 2u64)), state_hash(&(2u64, 1u64)));
-        assert_ne!(state_hash(&[0u8; 16]), state_hash(&[0u8; 24]));
     }
 }

@@ -382,7 +382,7 @@ impl<C: SyncedComponent + Clone + Send + Sync + 'static> DenseProtocol for Dense
         // a snapshot are meaningless without the exact index → state table
         // that minted them.
         let mut out = Vec::new();
-        self.interner.contents().persist(&mut out);
+        self.interner.persist_contents(&mut out);
         out
     }
 
