@@ -16,8 +16,11 @@
 //!
 //! [`IndexCodec`](crate::stint::IndexCodec) lifts a `DenseProtocol` back
 //! into a regular [`Protocol`](crate::Protocol) over `u32` indices, so the
-//! *same* transition system can be driven by both engines — this is how the
+//! *same* transition system can be driven by both the sequential
+//! [`Simulator`](crate::Simulator) and the batched engine — this is how the
 //! distributional-equivalence tests pin the two engines against each other.
+//! It is also the per-agent stint the hybrid and sequential engines fall
+//! back to for a protocol without an [`AgentCodec`](crate::stint::AgentCodec).
 
 use std::fmt::Debug;
 
@@ -134,6 +137,10 @@ pub trait DenseProtocol {
     /// The hybrid engine records this census in its switch log and the bench
     /// tooling emits it next to the switch points, so occupancy blow-ups are
     /// attributable to the protocol stage that minted the states.
+    ///
+    /// For an interned protocol with a codec on the sequential engine, this
+    /// counts only the states that crossed a stint boundary (a `counts`
+    /// tally, `transfer`, `set_counts`, `corrupt`), not every state visited.
     fn discovered_states(&self) -> Option<usize> {
         None
     }
@@ -142,12 +149,13 @@ pub trait DenseProtocol {
     /// carries a typed agent-state codec
     /// ([`AgentCodec`](crate::stint::AgentCodec)).
     ///
-    /// The hybrid engine builds every stint through this hook: from a
-    /// configuration ([`StintSource::Counts`]) at each dense → per-agent
-    /// migration and on a per-agent-mode `set_counts`, and from the bytes
+    /// The hybrid and sequential engines build every stint through this
+    /// hook: from a configuration ([`StintSource::Counts`]) at each
+    /// dense → per-agent migration, on a per-agent-mode `set_counts` and
+    /// when the sequential engine starts, and from the bytes
     /// [`AgentStint::save_stint`](crate::stint::AgentStint::save_stint)
-    /// wrote ([`StintSource::Saved`]) when it restores a checkpoint.  The
-    /// default `None` makes the engine fall back to stepping dense `u32`
+    /// wrote ([`StintSource::Saved`]) when they restore a checkpoint.  The
+    /// default `None` makes the engines fall back to stepping dense `u32`
     /// indices through [`Self::transition`]
     /// ([`DecodedStint`](crate::stint::DecodedStint) over
     /// [`IndexCodec`](crate::stint::IndexCodec)).  Codec-bearing protocols

@@ -20,23 +20,22 @@
 //! simulator the experiment harness and benchmark tooling drive, so engine
 //! choice is a CLI argument rather than a code path.
 //!
-//! The sequential variant and the hybrid engine's per-agent stint share
-//! their per-agent configuration code (expanding counts in state-index
-//! order, counting, moving and corrupting agents; see [`crate::stint`]), so
-//! driven alike they hold equal agent vectors.
+//! The sequential variant ([`DenseSequential`]) *is* a hybrid per-agent
+//! stint ([`crate::stint`]) that never migrates, built by the same code
+//! from the same protocol hook: native structs for protocols with an
+//! [`AgentCodec`](crate::stint::AgentCodec), `u32` indices through
+//! [`IndexCodec`](crate::stint::IndexCodec) otherwise.  Driven alike, the
+//! two engines hold equal agents.
 
 use crate::batched::BatchedSimulator;
 use crate::config::ConfigurationStats;
 use crate::convergence::{self, RunOutcome};
-use crate::dense::{assigned_states, check_counts, DenseProtocol};
+use crate::dense::DenseProtocol;
 use crate::error::SimError;
 use crate::hybrid::{HybridLegs, HybridSimulator};
 use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
-use crate::simulator::Simulator;
-use crate::snapshot::{
-    Checkpointable, EngineSnapshot, PersistState, ENGINE_DENSE_SEQUENTIAL, ENGINE_SEQUENTIAL,
-};
-use crate::stint::{corrupt_agents, count_agents, expand_counts, transfer_agents, IndexCodec};
+use crate::snapshot::{Checkpointable, EngineSnapshot, PersistState, ENGINE_DENSE_SEQUENTIAL};
+use crate::stint::{build_stint, BoxedAgentStint, StintSource};
 
 use rand::rngs::SmallRng;
 
@@ -80,7 +79,9 @@ pub const SEQUENTIAL_CROSSOVER: usize = 3_000;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The per-agent sequential engine ([`Simulator`] over [`IndexCodec`]).
+    /// The per-agent sequential engine ([`DenseSequential`]: native structs
+    /// through the protocol's codec, or `u32` indices through
+    /// [`IndexCodec`](crate::stint::IndexCodec)).
     Sequential,
     /// The single-threaded batched count-based engine ([`BatchedSimulator`]).
     Batched,
@@ -165,7 +166,7 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub enum DenseSimulator<P: DenseProtocol + Clone + Send> {
     /// Sequential per-agent execution.
-    Sequential(Simulator<IndexCodec<P>>),
+    Sequential(DenseSequential<P>),
     /// Batched count-based execution.
     Batched(BatchedSimulator<P>),
     /// Sharded batched execution.
@@ -185,10 +186,8 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// ([`SimError::PopulationTooSmall`], [`SimError::InvalidParameter`]).
     pub fn new(engine: Engine, protocol: P, n: usize, seed: u64) -> Result<Self, SimError> {
         match engine.resolve_for(n, protocol.dynamic()) {
-            Engine::Sequential => Ok(DenseSimulator::Sequential(Simulator::new(
-                IndexCodec(protocol),
-                n,
-                seed,
+            Engine::Sequential => Ok(DenseSimulator::Sequential(DenseSequential::new(
+                protocol, n, seed,
             )?)),
             Engine::Batched => Ok(DenseSimulator::Batched(BatchedSimulator::new(
                 protocol, n, seed,
@@ -265,7 +264,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn population(&self) -> u64 {
         match self {
-            DenseSimulator::Sequential(s) => s.population() as u64,
+            DenseSimulator::Sequential(s) => s.stint.population() as u64,
             DenseSimulator::Batched(s) => s.population(),
             DenseSimulator::Sharded(s) => s.population(),
             DenseSimulator::Hybrid(s) => s.population(),
@@ -276,7 +275,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn interactions(&self) -> u64 {
         match self {
-            DenseSimulator::Sequential(s) => s.interactions(),
+            DenseSimulator::Sequential(s) => s.stint.interactions(),
             DenseSimulator::Batched(s) => s.interactions(),
             DenseSimulator::Sharded(s) => s.interactions(),
             DenseSimulator::Hybrid(s) => s.interactions(),
@@ -288,7 +287,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn count_of(&self, state: usize) -> u64 {
         match self {
-            DenseSimulator::Sequential(s) => count_agents(s.protocol(), s.states(), state),
+            DenseSimulator::Sequential(s) => s.stint.count_of(state),
             DenseSimulator::Batched(s) => s.count_of(state),
             DenseSimulator::Sharded(s) => s.count_of(state),
             DenseSimulator::Hybrid(s) => s.count_of(state),
@@ -300,13 +299,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn counts(&self) -> Vec<u64> {
         match self {
-            DenseSimulator::Sequential(s) => {
-                let mut counts = vec![0u64; s.protocol().0.num_states()];
-                for &st in s.states() {
-                    counts[st as usize] += 1;
-                }
-                counts
-            }
+            DenseSimulator::Sequential(s) => s.stint.counts(),
             DenseSimulator::Batched(s) => s.counts().to_vec(),
             DenseSimulator::Sharded(s) => s.counts().to_vec(),
             DenseSimulator::Hybrid(s) => s.counts(),
@@ -317,7 +310,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn output_stats(&self) -> ConfigurationStats<P::Output> {
         match self {
-            DenseSimulator::Sequential(s) => s.output_stats(),
+            DenseSimulator::Sequential(s) => s.stint.output_stats(),
             DenseSimulator::Batched(s) => s.output_stats(),
             DenseSimulator::Sharded(s) => s.output_stats(),
             DenseSimulator::Hybrid(s) => s.output_stats(),
@@ -332,10 +325,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// or fewer than `k` agents are in `from`.
     pub fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
         match self {
-            DenseSimulator::Sequential(s) => {
-                let codec = s.protocol().clone();
-                transfer_agents(&codec, s.states_mut(), from, to, k, |_, _| {})
-            }
+            DenseSimulator::Sequential(s) => s.stint.transfer(from, to, k),
             DenseSimulator::Batched(s) => s.transfer(from, to, k),
             DenseSimulator::Sharded(s) => s.transfer(from, to, k),
             DenseSimulator::Hybrid(s) => s.transfer(from, to, k),
@@ -346,7 +336,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     #[must_use]
     pub fn num_states(&self) -> usize {
         match self {
-            DenseSimulator::Sequential(s) => s.protocol().0.num_states(),
+            DenseSimulator::Sequential(s) => s.protocol.num_states(),
             DenseSimulator::Batched(s) => s.num_states(),
             DenseSimulator::Sharded(s) => s.num_states(),
             DenseSimulator::Hybrid(s) => s.num_states(),
@@ -355,9 +345,9 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
 
     /// Replace the whole configuration — the entry point of adversarial
     /// initialization ([`crate::adversary::InitStrategy`]).  The sequential
-    /// engine rewrites its per-agent states in state-index order (the hybrid
-    /// hand-off's layout, from the same per-agent code as the stint); the
-    /// counts engines swap their count vectors.
+    /// engine rewrites its agents in state-index order (the hybrid
+    /// hand-off's layout), keeping its schedule RNG and interaction count;
+    /// the counts engines swap their count vectors.
     ///
     /// # Errors
     ///
@@ -365,16 +355,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// length or does not sum to the population size.
     pub fn set_counts(&mut self, counts: Vec<u64>) -> Result<(), SimError> {
         match self {
-            DenseSimulator::Sequential(s) => {
-                check_counts(&counts, s.protocol().0.num_states(), s.population() as u64)?;
-                // The counts sum to the population, so they fill every slot.
-                let codec = s.protocol().clone();
-                let slots = s.states_mut().iter_mut();
-                for (slot, state) in slots.zip(expand_counts(&codec, &counts)) {
-                    *slot = state;
-                }
-                Ok(())
-            }
+            DenseSimulator::Sequential(s) => s.stint.set_counts(&counts),
             DenseSimulator::Batched(s) => s.set_counts(counts),
             DenseSimulator::Sharded(s) => s.set_counts(counts),
             DenseSimulator::Hybrid(s) => s.set_counts(counts),
@@ -402,10 +383,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
         match self {
-            DenseSimulator::Sequential(s) => {
-                let codec = s.protocol().clone();
-                corrupt_agents(&codec, s.states_mut(), k, rng, new_state, |_, _| {})
-            }
+            DenseSimulator::Sequential(s) => s.stint.corrupt(k, rng, new_state),
             DenseSimulator::Batched(s) => s.corrupt(k, rng, new_state),
             DenseSimulator::Sharded(s) => s.corrupt(k, rng, new_state),
             DenseSimulator::Hybrid(s) => s.corrupt(k, rng, new_state),
@@ -426,7 +404,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// Execute `budget` further interactions unconditionally.
     pub fn run(&mut self, budget: u64) {
         match self {
-            DenseSimulator::Sequential(s) => s.run(budget),
+            DenseSimulator::Sequential(s) => s.stint.run(budget),
             DenseSimulator::Batched(s) => s.run(budget),
             DenseSimulator::Sharded(s) => s.run(budget),
             DenseSimulator::Hybrid(s) => s.run(budget),
@@ -452,6 +430,82 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     }
 }
 
+/// The sequential engine of [`DenseSimulator`], whose methods forward to
+/// it: a dense protocol and the one per-agent stint it runs for the whole
+/// run, built as the hybrid engine builds its per-agent legs (see
+/// [`crate::stint`]).  For an interned protocol with a codec, states reach
+/// the interner only at the stint's boundaries (`counts`, `transfer`,
+/// `set_counts`, `corrupt`), not at every interaction.
+#[derive(Debug, Clone)]
+pub struct DenseSequential<P: DenseProtocol + Clone + Send> {
+    protocol: P,
+    stint: BoxedAgentStint<P::Output>,
+}
+
+impl<P: DenseProtocol + Clone + Send + 'static> DenseSequential<P> {
+    /// `n` agents, all in the protocol's initial state, with the schedule
+    /// RNG seeded by `seed`.
+    fn new(protocol: P, n: usize, seed: u64) -> Result<Self, SimError> {
+        if n < 2 {
+            return Err(SimError::PopulationTooSmall { n });
+        }
+        // Indices past the initial one hold no agents, so the vector stops
+        // there instead of spanning the state space.
+        let mut counts = vec![0u64; protocol.initial_state() + 1];
+        counts[protocol.initial_state()] = n as u64;
+        let stint = build_stint(
+            &protocol,
+            StintSource::Counts {
+                counts: &counts,
+                seed,
+            },
+        )?;
+        Ok(DenseSequential { protocol, stint })
+    }
+}
+
+/// Checkpointing for the sequential engine, under engine tag
+/// [`ENGINE_DENSE_SEQUENTIAL`]:
+///
+/// ```text
+/// Vec<u8>   protocol state (DenseProtocol::save_protocol_state)
+/// Vec<u8>   the stint (AgentStint::save_stint): u64 interactions, RNG, agents
+/// ```
+///
+/// A restore installs the protocol state, rebuilds the stint the way
+/// construction builds it, then checks the population.
+impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for DenseSequential<P> {
+    fn save_state(&self) -> EngineSnapshot {
+        let mut payload = Vec::new();
+        self.protocol.save_protocol_state().persist(&mut payload);
+        let mut stint = Vec::new();
+        self.stint.save_stint(&mut stint);
+        stint.persist(&mut payload);
+        EngineSnapshot::new(ENGINE_DENSE_SEQUENTIAL, payload)
+    }
+
+    fn restore_state(&mut self, snapshot: &EngineSnapshot) -> Result<(), SimError> {
+        snapshot.expect_engine(ENGINE_DENSE_SEQUENTIAL, "the sequential engine")?;
+        let mut r = snapshot.reader();
+        let protocol_bytes = r.read::<Vec<u8>>()?;
+        let stint_bytes = r.read::<Vec<u8>>()?;
+        r.finish()?;
+        self.protocol.restore_protocol_state(&protocol_bytes)?;
+        let stint = build_stint(&self.protocol, StintSource::Saved(&stint_bytes))?;
+        if stint.population() != self.stint.population() {
+            return Err(SimError::SnapshotMismatch {
+                reason: format!(
+                    "snapshot population {} != simulator population {}",
+                    stint.population(),
+                    self.stint.population()
+                ),
+            });
+        }
+        self.stint = stint;
+        Ok(())
+    }
+}
+
 /// Checkpointing through the engine-dispatch layer: each variant forwards to
 /// its engine's [`Checkpointable`] implementation, so a `DenseSimulator`
 /// snapshot carries the underlying engine's tag — restoring it into a
@@ -459,32 +513,18 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
 /// [`SimError::SnapshotMismatch`] (trajectories are engine-specific, so a
 /// cross-engine restore could never replay bit-identically).
 ///
-/// The sequential variant is the one exception: its inner
-/// [`Simulator`] snapshot knows nothing about the dense protocol, whose
-/// interner contents are part of a dynamic protocol's trajectory.  It
-/// therefore wraps the sequential payload under
-/// [`ENGINE_DENSE_SEQUENTIAL`]
-/// together with the protocol state:
+/// The sequential variant's layout is on [`DenseSequential`]'s
+/// `Checkpointable` impl.
 ///
-/// ```text
-/// Vec<u8>   protocol state (DenseProtocol::save_protocol_state)
-/// Vec<u8>   inner sequential-engine payload
-/// ```
-///
-/// The sequential variant and the count-based engines (including the
-/// hybrid engine's dense substrate) reject a snapshot naming a state index
-/// the restored protocol state never assigned — an interned protocol's
-/// index beyond its census — with [`SimError::SnapshotCorrupt`], instead of
-/// accepting it and panicking at the next interaction that reads the index.
+/// Every engine (the sequential one, the count-based ones and both modes of
+/// the hybrid engine) rejects a snapshot naming a state index the restored
+/// protocol state never assigned — an interned protocol's index beyond its
+/// census — with [`SimError::SnapshotCorrupt`], instead of accepting it and
+/// panicking at the next interaction that reads the index.
 impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for DenseSimulator<P> {
     fn save_state(&self) -> EngineSnapshot {
         match self {
-            DenseSimulator::Sequential(s) => {
-                let mut payload = Vec::new();
-                s.protocol().0.save_protocol_state().persist(&mut payload);
-                s.save_state().payload().to_vec().persist(&mut payload);
-                EngineSnapshot::new(ENGINE_DENSE_SEQUENTIAL, payload)
-            }
+            DenseSimulator::Sequential(s) => s.save_state(),
             DenseSimulator::Batched(s) => s.save_state(),
             DenseSimulator::Sharded(s) => s.save_state(),
             DenseSimulator::Hybrid(s) => s.save_state(),
@@ -493,24 +533,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for DenseSimulato
 
     fn restore_state(&mut self, snapshot: &EngineSnapshot) -> Result<(), SimError> {
         match self {
-            DenseSimulator::Sequential(s) => {
-                snapshot.expect_engine(ENGINE_DENSE_SEQUENTIAL, "the sequential engine")?;
-                let mut r = snapshot.reader();
-                let protocol_bytes = r.read::<Vec<u8>>()?;
-                let inner_bytes = r.read::<Vec<u8>>()?;
-                r.finish()?;
-                s.protocol().0.restore_protocol_state(&protocol_bytes)?;
-                s.restore_state(&EngineSnapshot::new(ENGINE_SEQUENTIAL, inner_bytes))?;
-                let assigned = assigned_states(&s.protocol().0);
-                match s.states().iter().find(|&&a| a as usize >= assigned) {
-                    Some(a) => Err(SimError::SnapshotCorrupt {
-                        reason: format!(
-                            "agent state {a} outside the assigned states 0..{assigned}"
-                        ),
-                    }),
-                    None => Ok(()),
-                }
-            }
+            DenseSimulator::Sequential(s) => s.restore_state(snapshot),
             DenseSimulator::Batched(s) => s.restore_state(snapshot),
             DenseSimulator::Sharded(s) => s.restore_state(snapshot),
             DenseSimulator::Hybrid(s) => s.restore_state(snapshot),

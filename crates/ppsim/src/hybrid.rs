@@ -15,7 +15,7 @@
 //! (`q_occ` = occupied states), so the dense engine's per-interaction cost is
 //! `≈ q_occ²/√n` against the per-agent engine's `O(1)`.  The monitor
 //! observes `q_occ` every `max(n/4, 256)` interactions, in either mode, and
-//! compares `q_occ²` with `c·√n`:
+//! compares `q_occ²` with multiples of `√n`:
 //!
 //! * **dense → per-agent** when `q_occ² > 64·√n` holds for 2 consecutive
 //!   observations;
@@ -44,12 +44,11 @@
 //! instead of four locked probes per interaction, which cost a stint over
 //! interned indices a measured ~40 % of the `CountExact` refinement leg at
 //! `n = 10⁵`.  Protocols without a codec fall back to stepping `u32`
-//! indices through [`DenseProtocol::transition`] ([`IndexCodec`]).  Every
-//! stint — at a migration, on a per-agent-mode `set_counts`, on restore —
-//! is built in one place from the hook or that fallback, so a protocol's
-//! stints are always of one kind.  The stint also maintains its occupancy
-//! census incrementally, so agent-mode monitor observations are `O(1)`
-//! instead of an `O(n log n)` sort of the state vector.
+//! indices through [`DenseProtocol::transition`].  Every stint — at a
+//! migration, on a per-agent-mode `set_counts`, on restore — is built where
+//! the sequential engine builds its own, from the hook or that fallback, so
+//! a protocol's stints are always of one kind.  An agent-mode observation
+//! counts distinct states on demand, up to [`OccupancyMonitor::count_limit`].
 //!
 //! # Exactness
 //!
@@ -104,7 +103,7 @@ use crate::sharded::{ShardedBatchedSimulator, ShardedConfig};
 use crate::snapshot::{
     Checkpointable, EngineSnapshot, PersistState, SnapshotReader, ENGINE_HYBRID,
 };
-use crate::stint::{BoxedAgentStint, DecodedStint, IndexCodec, StintSource};
+use crate::stint::{build_stint, BoxedAgentStint, StintSource};
 
 use rand::rngs::SmallRng;
 
@@ -132,10 +131,9 @@ const SWITCH_DOWN: f64 = 8.0;
 /// migration fires.
 const WINDOW: u32 = 2;
 
-/// Interactions between occupancy observations, `max(n/4, 256)`.  Both modes
-/// observe at this spacing: the dense engines keep an occupied-state list
-/// and the per-agent stint maintains its census incrementally, so an
-/// observation is `O(q_occ)` resp. `O(1)` in either representation.
+/// Interactions between occupancy observations, `max(n/4, 256)`, in both
+/// modes: `O(q_occ)` on the dense engines' occupied-state list, a count up
+/// to [`OccupancyMonitor::count_limit`] on the per-agent stint.
 fn monitor_every(n: u64) -> u64 {
     (n / 4).max(256)
 }
@@ -247,11 +245,14 @@ pub struct SwitchEvent {
 /// * an occupancy sequence that stays inside the `(down, up]` thresholds
 ///   band never triggers a migration, whatever came before;
 /// * a migration requires 2 *consecutive* observations beyond the relevant
-///   threshold, so a single outlier observation never switches.
+///   threshold, so a single outlier observation never switches;
+/// * in per-agent mode, observing `min(q_occ, c)` with `c` =
+///   [`Self::count_limit`] decides exactly as observing `q_occ` does.
 #[derive(Debug, Clone)]
 pub struct OccupancyMonitor {
     up_threshold: f64,
     down_threshold: f64,
+    count_limit: usize,
     dense: bool,
     streak: u32,
 }
@@ -261,12 +262,28 @@ impl OccupancyMonitor {
     #[must_use]
     pub fn new(n: u64) -> Self {
         let sqrt_n = (n as f64).sqrt();
+        let down_threshold = SWITCH_DOWN * sqrt_n;
+        // The smallest c with c² ≥ down_threshold, in the f64 arithmetic
+        // the down test itself uses.
+        let count_limit = (0usize..)
+            .find(|&c| (c as f64) * (c as f64) >= down_threshold)
+            .unwrap_or(usize::MAX);
         OccupancyMonitor {
             up_threshold: SWITCH_UP * sqrt_n,
-            down_threshold: SWITCH_DOWN * sqrt_n,
+            down_threshold,
+            count_limit,
             dense: true,
             streak: 0,
         }
+    }
+
+    /// The smallest occupancy `c` with `c² ≥ 8·√n` (19 at `n = 2000`, 29 at
+    /// `10⁴`, 51 at `10⁵`).  In per-agent mode every count below `c` must be
+    /// exact, and every count of `c` or more fails the down test alike, so
+    /// the hybrid engine stops counting its agents' states at `c`.
+    #[must_use]
+    pub fn count_limit(&self) -> usize {
+        self.count_limit
     }
 
     /// Whether the monitor currently believes the run is in dense mode.
@@ -559,16 +576,16 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     }
 
     /// The number of currently occupied states `q_occ` (distinct states
-    /// holding ≥ 1 agent) — the monitor's signal.  `O(q_occ)` in dense mode;
-    /// `O(1)` in per-agent mode, where the stint maintains its census
-    /// incrementally (exact up to 64-bit state-hash collisions, which can
-    /// only undercount by `~q_occ²/2⁶⁴`).
+    /// holding ≥ 1 agent), exact in both modes.  `O(q_occ)` in dense mode;
+    /// `O(n)` in per-agent mode, where the stint counts its states on demand
+    /// (the monitor's own observations stop at
+    /// [`OccupancyMonitor::count_limit`] instead).
     #[must_use]
     pub fn occupied_states(&self) -> usize {
         match &self.mode {
             Mode::Batched(s) => s.occupied_states(),
             Mode::Sharded(s) => s.occupied_states(),
-            Mode::Agent(s) => s.occupied_states(),
+            Mode::Agent(s) => s.occupied_states(usize::MAX),
         }
     }
 
@@ -660,10 +677,13 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             Mode::Agent(_) => {
                 check_counts(&counts, self.protocol.num_states(), self.n)?;
                 let seed = derive_seed(self.seed, SETCOUNT_SALT + self.interactions());
-                let stint = self.build_stint(StintSource::Counts {
-                    counts: &counts,
-                    seed,
-                })?;
+                let stint = build_stint(
+                    &self.protocol,
+                    StintSource::Counts {
+                        counts: &counts,
+                        seed,
+                    },
+                )?;
                 let executed = self.mode_interactions();
                 self.completed += executed;
                 self.agent_total += executed;
@@ -798,10 +818,13 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
                 // substrate's counts in place: a copy would cost a vector as
                 // long as the state space at every switch.
                 let stint = self.with_counts(|counts| {
-                    self.build_stint(StintSource::Counts {
-                        counts,
-                        seed: switch_seed,
-                    })
+                    build_stint(
+                        &self.protocol,
+                        StintSource::Counts {
+                            counts,
+                            seed: switch_seed,
+                        },
+                    )
                 })?;
                 debug_assert_eq!(
                     stint.population() as u64,
@@ -842,17 +865,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
         Ok(())
     }
 
-    /// Build a per-agent stint from `source`: the protocol's own through its
-    /// [`DenseProtocol::agent_stint`] hook, or else `DecodedStint` over
-    /// [`IndexCodec`], stepping dense indices through `transition`.  Every
-    /// stint this engine runs is built here — at a migration, on a
-    /// per-agent-mode [`Self::set_counts`], and on restore.
-    fn build_stint(&self, source: StintSource<'_>) -> Result<BoxedAgentStint<P::Output>, SimError> {
-        self.protocol
-            .agent_stint(source)
-            .unwrap_or_else(|| DecodedStint::boxed(IndexCodec(self.protocol.clone()), source))
-    }
-
     /// The first error a *monitor-driven* migration hit, if any.
     ///
     /// [`Self::run`] promises to execute its exact budget, so an automatic
@@ -868,11 +880,14 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     }
 
     /// One monitor observation at the current interaction count; schedules
-    /// the next one.  Since the per-agent stint's census is maintained
-    /// incrementally (`O(1)` to read), both modes observe at the same
-    /// cadence.
+    /// the next one.  In per-agent mode the count stops at
+    /// [`OccupancyMonitor::count_limit`], which moves no decision, and a
+    /// migration's recorded occupancy (then below the limit) stays exact.
     fn observe(&mut self) {
-        let occupied = self.occupied_states();
+        let occupied = match &self.mode {
+            Mode::Agent(s) => s.occupied_states(self.monitor.count_limit),
+            Mode::Batched(_) | Mode::Sharded(_) => self.occupied_states(),
+        };
         if let Some(direction) = self.monitor.observe(occupied) {
             if let Err(e) = self.migrate(direction, occupied) {
                 // The monitor already flipped its mode flag when it asked for
@@ -1185,7 +1200,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 core.finish()?;
             }
             MODE_AGENT => {
-                let stint = self.build_stint(StintSource::Saved(mode_bytes))?;
+                let stint = build_stint(&self.protocol, StintSource::Saved(mode_bytes))?;
                 if stint_kind != Some(stint.kind()) {
                     return Err(SimError::SnapshotMismatch {
                         reason: format!(
@@ -1229,6 +1244,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stint::{DecodedStint, IndexCodec};
     use proptest::prelude::*;
 
     /// One-way epidemic on two dense states: occupancy never exceeds 2.

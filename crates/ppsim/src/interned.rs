@@ -81,9 +81,9 @@ use crate::error::SimError;
 use crate::snapshot::PersistState;
 
 /// The crate's one multiplicative word hasher (FxHash-style).  The
-/// interner's index, the per-agent stint's census and the δ-memo's pair
-/// keys all hash with it: one rotate, xor and multiply per word, far faster
-/// than SipHash.  It is not keyed, so it is only used where a collision
+/// interner's index, the per-agent stint's occupancy count and tally, and
+/// the δ-memo's pair keys all hash with it: one rotate, xor and multiply
+/// per word, far faster than SipHash.  It is not keyed, so it is only used where a collision
 /// costs time, never a wrong answer.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FxHasher(u64);

@@ -115,7 +115,7 @@ pub use conformance::{
 };
 pub use convergence::RunOutcome;
 pub use dense::DenseProtocol;
-pub use engine::{DenseSimulator, Engine, SEQUENTIAL_CROSSOVER};
+pub use engine::{DenseSequential, DenseSimulator, Engine, SEQUENTIAL_CROSSOVER};
 pub use error::SimError;
 pub use hybrid::{
     HybridLegs, HybridSimulator, HybridSubstrate, OccupancyMonitor, SwitchDirection, SwitchEvent,

@@ -167,14 +167,8 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
     }
 
     /// Execute exactly one interaction.
-    pub fn step(&mut self) {
-        self.step_pair();
-    }
-
-    /// Execute exactly one interaction and return the agents it paired,
-    /// `(initiator, responder)`.
     #[inline]
-    pub(crate) fn step_pair(&mut self) -> (usize, usize) {
+    pub fn step(&mut self) {
         let n = self.states.len();
         let (i, j) = self.scheduler.next_pair(n, &mut self.rng);
         debug_assert_ne!(i, j);
@@ -188,7 +182,6 @@ impl<P: Protocol, Sch: Scheduler> Simulator<P, Sch> {
         };
         self.protocol.interact(a, b, &mut self.rng);
         self.interactions += 1;
-        (i, j)
     }
 
     /// Execute `budget` further interactions unconditionally.

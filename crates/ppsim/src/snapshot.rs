@@ -24,14 +24,14 @@
 //! seconds) is also excluded — so snapshot bytes are a pure function of the
 //! trajectory and byte equality is a valid trajectory-equality check.
 //!
-//! # Format layout (version 4)
+//! # Format layout (version 5)
 //!
 //! All integers are little-endian; there is no padding.
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"PPSS"
-//! 4       4     u32    format version (currently 4)
+//! 4       4     u32    format version (currently 5)
 //! 8       1     u8     engine tag (see the ENGINE_* constants)
 //! 9       8     u64    payload length L
 //! 17      L     [u8]   payload (engine-specific, see each engine's docs)
@@ -81,7 +81,7 @@ use crate::error::SimError;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPSS";
 
 /// The format version this build writes, and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Engine tag: [`crate::Simulator`] (per-agent sequential).
 pub const ENGINE_SEQUENTIAL: u8 = 1;
@@ -92,8 +92,8 @@ pub const ENGINE_SHARDED: u8 = 3;
 /// Engine tag: [`crate::HybridSimulator`].
 pub const ENGINE_HYBRID: u8 = 4;
 /// Engine tag: [`crate::DenseSimulator`] running its sequential variant
-/// (a [`crate::Simulator`] payload prefixed by the protocol's own state,
-/// so dynamic protocols restore their interner).
+/// ([`crate::DenseSequential`]: the protocol's own state, so dynamic
+/// protocols restore their interner, then the per-agent stint's bytes).
 pub const ENGINE_DENSE_SEQUENTIAL: u8 = 5;
 /// Engine tag: [`crate::adversary::AdversarialRun`] (a fault-plan cursor
 /// wrapped around an inner engine snapshot).

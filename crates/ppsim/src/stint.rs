@@ -16,41 +16,41 @@
 //!   `decode: index → native state` / `encode: state → index` (interning only
 //!   on encode) plus a **native protocol** ([`AgentCodec::Native`]) whose
 //!   monomorphic [`Protocol::interact`] steps the decoded structs directly.
-//! * [`DecodedStint`] is the per-agent engine the hybrid engine runs between
-//!   migrations: a sequential [`Simulator`] over the codec's native protocol
-//!   steps the native structs with `Protocol::interact` — no interner
-//!   lookup, no δ-memo probe — and the codec is consulted only at the
-//!   migration boundaries (expand on dense → agent, tally + intern on
-//!   agent → dense), so the hand-off stays the exact
-//!   Markov-in-configuration transfer.
+//! * [`DecodedStint`] is the one per-agent engine for dense protocols: a
+//!   sequential [`Simulator`] over the codec's native protocol steps the
+//!   native structs with `Protocol::interact` — no interner lookup, no
+//!   δ-memo probe — and the codec is consulted only at the boundaries
+//!   (expanding a configuration into agents, tallying and interning it back,
+//!   and the per-agent configuration ops), so a hand-off stays the exact
+//!   Markov-in-configuration transfer.  The hybrid engine runs one between
+//!   migrations, and the sequential variant of
+//!   [`DenseSimulator`](crate::DenseSimulator) runs one for the whole run.
 //! * [`IndexCodec`] is the fallback codec for protocols without a native
 //!   decoding: the "native" state is the dense index itself, and stepping
 //!   goes through [`DenseProtocol::transition`](crate::DenseProtocol).  As a
 //!   plain [`Protocol`] it also runs dense protocols on the sequential
-//!   [`Simulator`].
+//!   [`Simulator`], which is how the equivalence tests drive them.
 //! * [`StintSource`] says where a stint starts — a configuration to expand
 //!   or bytes a checkpoint saved — so one hook,
 //!   [`DenseProtocol::agent_stint`], covers both construction and restore.
+//!   Both engines build every stint in one crate-private place: through
+//!   that hook, or else as `DecodedStint<IndexCodec<P>>`.
 //!
-//! The per-agent configuration ops — expanding counts into agents in
-//! state-index order, counting the agents in a state, moving agents between
-//! states and corrupting a uniform subset of them — are written once, over a
-//! codec and a slice of native states.  The stint runs them with its census
-//! refresh as the on-change hook; the sequential variant of
-//! [`DenseSimulator`](crate::DenseSimulator) runs the same code over
-//! [`IndexCodec`] with no hook.
+//! # Occupancy on demand
 //!
-//! # The incremental census
-//!
-//! The hybrid monitor needs the occupancy `q_occ` (distinct live states) in
-//! per-agent mode too.  Instead of sorting a copy of the state vector at
-//! every observation (`O(n log n)`), the stint maintains the census
-//! **incrementally**: a per-agent vector of 64-bit state hashes and a
-//! hash-keyed multiplicity map are updated as interactions change states, so
-//! an observation reads a counter in `O(1)`.  Keying by hash makes the
-//! census an undercount when two distinct states collide in 64 bits — a
-//! `~q_occ²/2⁶⁴` event that can only nudge the monitor's signal, never the
-//! simulated process.
+//! The hybrid monitor reads the occupancy `q_occ` (distinct live states)
+//! once every `max(n/4, 256)` interactions.  The stint does no occupancy
+//! bookkeeping as it steps: [`AgentStint::occupied_states`] counts distinct
+//! states when asked, into a set of borrowed states, and stops once it has
+//! found `limit` of them.  In per-agent mode the monitor only needs to know
+//! whether `q_occ` is below a small `c` (see
+//! [`OccupancyMonitor::count_limit`](crate::OccupancyMonitor::count_limit)),
+//! so it asks with that limit; an exact count is `O(n)`.  A count looks
+//! first at the agents in which the last count that stopped at its limit
+//! found its states.  Between two observations most of them still hold
+//! distinct states, so the scan needs only the few states they no longer
+//! cover: on the `CountExact` agent legs at `n = 2000` a count took about
+//! 9 µs with this hint and 30 µs without it.
 //!
 //! # Example
 //!
@@ -127,16 +127,16 @@
 //! assert_eq!(stint.counts().iter().sum::<u64>(), 10);
 //! ```
 
-// Deterministic build hashers throughout; maps are lookup-only and
-// never iterated in replay-sensitive paths. ppcheck: allow(hashmap-iter)
-use std::collections::HashMap;
+// Deterministic build hashers throughout; maps and sets are lookup-only
+// and never iterated in replay-sensitive paths. ppcheck: allow(hashmap-iter)
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::Hash;
 
 use crate::config::ConfigurationStats;
-use crate::dense::DenseProtocol;
+use crate::dense::{assigned_states, check_counts, DenseProtocol};
 use crate::error::SimError;
-use crate::interned::{fx_hash, FxBuildHasher};
+use crate::interned::FxBuildHasher;
 use crate::protocol::Protocol;
 use crate::rng::seeded_rng;
 use crate::simulator::Simulator;
@@ -145,70 +145,16 @@ use crate::snapshot::{persist_rng, unpersist_rng, PersistState, SnapshotReader};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// A stint's incremental occupancy census (see the module docs), kept in
-/// one field so it can be refreshed while the state vector is borrowed.
-#[derive(Debug, Clone)]
-struct Census {
-    /// Census hash of each agent's current state (avoids re-hashing the
-    /// pre-interaction state on updates).
-    hashes: Vec<u64>,
-    /// 64-bit state hash → number of agents.
-    multiplicity: HashMap<u64, u64, FxBuildHasher>,
-    /// Distinct hashes with at least one agent.
-    occupied: usize,
-}
-
-impl Census {
-    fn new<S: Hash>(states: &[S]) -> Self {
-        let hashes: Vec<u64> = states.iter().map(fx_hash).collect();
-        let mut multiplicity = HashMap::default();
-        for &h in &hashes {
-            *multiplicity.entry(h).or_insert(0) += 1;
-        }
-        Census {
-            hashes,
-            occupied: multiplicity.len(),
-            multiplicity,
-        }
-    }
-
-    /// Re-census agent `idx`, now in `state`, after a possible state change.
-    fn refresh<S: Hash>(&mut self, idx: usize, state: &S) {
-        let new_hash = fx_hash(state);
-        let old_hash = self.hashes[idx];
-        if new_hash == old_hash {
-            return;
-        }
-        match self.multiplicity.entry(old_hash) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                    self.occupied -= 1;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                unreachable!("census lost track of a live state hash")
-            }
-        }
-        let slot = self.multiplicity.entry(new_hash).or_insert(0);
-        if *slot == 0 {
-            self.occupied += 1;
-        }
-        *slot += 1;
-        self.hashes[idx] = new_hash;
-    }
-}
-
 /// An optional extension of [`DenseProtocol`]: a typed codec between dense
 /// state indices and **native per-agent structs**, plus a native protocol
 /// stepping those structs with the monomorphic [`Protocol::interact`].
 ///
-/// Implementing this trait lets the hybrid engine run its per-agent stints on
-/// [`DecodedStint`] — native structs in a `Vec`, zero interner traffic per
-/// interaction — instead of the interned `u32` fallback.  Implementers also
-/// override [`DenseProtocol::agent_stint`] to hand the engine the stint
-/// (one line: `Some(DecodedStint::boxed(self.clone(), source))`).
+/// Implementing this trait lets the hybrid and sequential engines run their
+/// per-agent stints on [`DecodedStint`] — native structs in a `Vec`, zero
+/// interner traffic per interaction — instead of the interned `u32`
+/// fallback.  Implementers also override [`DenseProtocol::agent_stint`] to
+/// hand the engines the stint (one line:
+/// `Some(DecodedStint::boxed(self.clone(), source))`).
 ///
 /// # Contract
 ///
@@ -223,8 +169,8 @@ impl Census {
 ///
 /// Encoding may **intern**: for interner-backed protocols `encode_agent`
 /// assigns fresh indices on first appearance.  The decoded stint encodes
-/// only at migration boundaries, so a stint that mints `Θ(n)` transient
-/// states never pushes them through the interner.
+/// only at its boundaries, so a stint that mints `Θ(n)` transient states
+/// never pushes them through the interner.
 pub trait AgentCodec: DenseProtocol + Clone + Send + 'static {
     /// The native protocol stepping decoded states; its `State` is the
     /// decoded per-agent struct and its `Output` matches the dense output.
@@ -275,126 +221,6 @@ pub trait AgentCodec: DenseProtocol + Clone + Send + 'static {
 /// The native per-agent state of codec `C`.
 type NativeState<C> = <<C as AgentCodec>::Native as Protocol>::State;
 
-// The per-agent configuration ops, written once over a codec and a slice of
-// native states.  `DecodedStint` and the sequential variant of
-// `DenseSimulator` (over `IndexCodec`) both run on them.  `on_change(i, s)`
-// runs after agent `i` took the new state `s`: the stint refreshes its
-// census there, the sequential engine has nothing to refresh.
-
-/// The agents of a counts configuration in state-index order: `counts[0]`
-/// agents in the state behind index 0, then `counts[1]` in the state behind
-/// index 1, and so on.  A fixed, representation-independent layout, so a
-/// hand-off is a pure function of the configuration.  Each occupied index is
-/// decoded once.
-pub(crate) fn expand_counts<'a, C: AgentCodec>(
-    codec: &'a C,
-    counts: &'a [u64],
-) -> impl Iterator<Item = NativeState<C>> + 'a {
-    counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .flat_map(|(s, &c)| std::iter::repeat_n(codec.decode_agent(s), c as usize))
-}
-
-/// Number of agents in the state behind dense index `index` (`0` if the
-/// index has no state behind it).
-pub(crate) fn count_agents<C: AgentCodec>(
-    codec: &C,
-    states: &[NativeState<C>],
-    index: usize,
-) -> u64 {
-    match codec.try_decode_agent(index) {
-        Some(target) => states.iter().filter(|&s| *s == target).count() as u64,
-        None => 0,
-    }
-}
-
-/// Move the first `k` agents (in agent order) in the state behind `from` to
-/// the state behind `to`.
-pub(crate) fn transfer_agents<C: AgentCodec>(
-    codec: &C,
-    states: &mut [NativeState<C>],
-    from: usize,
-    to: usize,
-    k: u64,
-    mut on_change: impl FnMut(usize, &NativeState<C>),
-) -> Result<(), SimError> {
-    let (Some(from_state), Some(to_state)) =
-        (codec.try_decode_agent(from), codec.try_decode_agent(to))
-    else {
-        return Err(SimError::InvalidParameter {
-            name: "transfer",
-            reason: format!(
-                "states ({from}, {to}) outside the assigned state space 0..{}",
-                codec.num_states()
-            ),
-        });
-    };
-    let available = states.iter().filter(|&s| *s == from_state).count() as u64;
-    if available < k {
-        return Err(SimError::InvalidParameter {
-            name: "transfer",
-            reason: format!("cannot move {k} agents out of state {from} holding {available}"),
-        });
-    }
-    let mut moved = 0u64;
-    for (idx, state) in states.iter_mut().enumerate() {
-        if moved == k {
-            break;
-        }
-        if *state == from_state {
-            *state = to_state.clone();
-            moved += 1;
-            on_change(idx, state);
-        }
-    }
-    Ok(())
-}
-
-/// Corrupt `k` agents chosen uniformly without replacement (see
-/// [`AgentStint::corrupt`]): each victim takes the state behind
-/// `new_state(current_index, rng)`.  All randomness comes from `rng`.  On an
-/// error the victims before the failing one stay corrupted.
-pub(crate) fn corrupt_agents<C: AgentCodec>(
-    codec: &C,
-    states: &mut [NativeState<C>],
-    k: u64,
-    rng: &mut SmallRng,
-    new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
-    mut on_change: impl FnMut(usize, &NativeState<C>),
-) -> Result<(), SimError> {
-    let n = states.len();
-    if k > n as u64 {
-        return Err(SimError::InvalidParameter {
-            name: "corrupt",
-            reason: format!("cannot corrupt {k} of {n} agents"),
-        });
-    }
-    // Partial Fisher–Yates: after `k` swap steps the prefix of `idx` is a
-    // uniform k-subset of the agents, in a uniform order.
-    let mut idx: Vec<usize> = (0..n).collect();
-    for v in 0..k as usize {
-        let swap = v + rng.gen_range(0..n - v);
-        idx.swap(v, swap);
-        let victim = idx[v];
-        let current = codec.encode_agent(&states[victim]);
-        let target = new_state(current, rng);
-        let state = codec
-            .try_decode_agent(target)
-            .ok_or_else(|| SimError::InvalidParameter {
-                name: "corrupt",
-                reason: format!(
-                    "target state {target} outside the assigned state space 0..{}",
-                    codec.num_states()
-                ),
-            })?;
-        states[victim] = state;
-        on_change(victim, &states[victim]);
-    }
-    Ok(())
-}
-
 /// Where a per-agent stint starts: the input of
 /// [`DenseProtocol::agent_stint`] and [`DecodedStint::boxed`].
 #[derive(Debug, Clone, Copy)]
@@ -402,7 +228,9 @@ pub enum StintSource<'a> {
     /// Expand this dense configuration into agents (in state-index order),
     /// seeding the stint's schedule RNG with `seed`.
     Counts {
-        /// The configuration's state counts.
+        /// The configuration's state counts.  Indices past the end of the
+        /// slice hold no agents, so a configuration whose occupied indices
+        /// are all small needs no vector as long as the state space.
         counts: &'a [u64],
         /// Seed of the stint's schedule RNG.
         seed: u64,
@@ -412,9 +240,10 @@ pub enum StintSource<'a> {
     Saved(&'a [u8]),
 }
 
-/// The driving surface the hybrid engine needs from a per-agent stint,
-/// object-safe so protocols can hand back their own monomorphised stint
-/// ([`DenseProtocol::agent_stint`]) without the engine naming the state type.
+/// The driving surface the hybrid and sequential engines need from a
+/// per-agent stint, object-safe so protocols can hand back their own
+/// monomorphised stint ([`DenseProtocol::agent_stint`]) without the engines
+/// naming the state type.
 pub trait AgentStint<O>: fmt::Debug + Send {
     /// Execute `budget` further interactions.
     fn run(&mut self, budget: u64);
@@ -422,10 +251,11 @@ pub trait AgentStint<O>: fmt::Debug + Send {
     fn interactions(&self) -> u64;
     /// The population size `n`.
     fn population(&self) -> usize;
-    /// Distinct live states (the monitor's occupancy signal), maintained
-    /// incrementally — `O(1)` to read.  An undercount by the number of
-    /// 64-bit state-hash collisions (`~q_occ²/2⁶⁴`, negligible).
-    fn occupied_states(&self) -> usize;
+    /// Distinct live states (the monitor's occupancy signal), counted on
+    /// demand up to `limit`: returns `min(q_occ, limit)`.  The count stops
+    /// once it has found `limit` distinct states, so a small limit is cheap;
+    /// `usize::MAX` gives the exact occupancy in `O(n)`.
+    fn occupied_states(&self, limit: usize) -> usize;
     /// Tally the configuration back into dense state counts, interning any
     /// states minted since the stint began (the agent → dense boundary).
     fn counts(&self) -> Vec<u64>;
@@ -442,6 +272,15 @@ pub trait AgentStint<O>: fmt::Debug + Send {
     /// Returns [`SimError::InvalidParameter`] if either index has no state
     /// behind it or fewer than `k` agents are in `from`.
     fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError>;
+    /// Replace the configuration: rewrite the agents in state-index order,
+    /// the layout [`StintSource::Counts`] expands to, keeping the schedule
+    /// RNG and the interaction count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] if `counts` does not hold one
+    /// entry per state or does not sum to the population.
+    fn set_counts(&mut self, counts: &[u64]) -> Result<(), SimError>;
     /// Corrupt `k` agents chosen uniformly without replacement: each
     /// victim's state is replaced by the state behind the dense index
     /// `new_state(current_index, rng)`, decoded through the codec — the
@@ -470,13 +309,11 @@ pub trait AgentStint<O>: fmt::Debug + Send {
     /// The bytes are restored through [`DenseProtocol::agent_stint`] with
     /// [`StintSource::Saved`] (for codec-bearing protocols, via
     /// [`DecodedStint::boxed`]).
-    /// The census and hashes are *not* serialized: they are pure functions of
-    /// the state vector and are rebuilt on restore.
     fn save_stint(&self, out: &mut Vec<u8>);
 }
 
 /// A boxed per-agent stint, the form [`DenseProtocol::agent_stint`] returns
-/// and the hybrid engine drives.
+/// and the hybrid and sequential engines drive.
 pub type BoxedAgentStint<O> = Box<dyn AgentStint<O>>;
 
 impl<O> Clone for BoxedAgentStint<O> {
@@ -485,28 +322,33 @@ impl<O> Clone for BoxedAgentStint<O> {
     }
 }
 
-/// A per-agent stint over **native structs**: a sequential
-/// [`Simulator`] over the codec's native protocol, stepping decoded states
-/// with [`Protocol::interact`], plus the occupancy census maintained
-/// incrementally (see the module docs).
+/// A per-agent stint over **native structs**: a sequential [`Simulator`]
+/// over the codec's native protocol, stepping decoded states with
+/// [`Protocol::interact`].
 ///
 /// Construction decodes each occupied index once and fans the struct out by
 /// its multiplicity (the dense → agent boundary); [`Self::counts`] encodes
 /// each agent back (the agent → dense boundary, deduplicated so each
-/// distinct state hits the interner once).  In between, the codec is never
-/// consulted.
+/// distinct state hits the interner once).  Between boundaries the codec is
+/// never consulted.
 #[derive(Clone)]
 pub struct DecodedStint<P: AgentCodec> {
     codec: P,
     sim: Simulator<P::Native>,
-    census: Census,
+    /// The agents in which the last occupancy count that stopped at its
+    /// limit found its distinct states.  The next count looks at them
+    /// first: those still in distinct states count again, so the scan needs
+    /// only the few states they no longer cover.  A hint, never part of the
+    /// trajectory or a checkpoint.
+    witnesses: RefCell<Vec<usize>>,
 }
 
 impl<P: AgentCodec> DecodedStint<P> {
     /// Expand a dense counts configuration into a per-agent stint, seeding
     /// the schedule RNG with `seed`.  Agents are laid out in state-index
     /// order — a fixed, representation-independent layout, so the hand-off
-    /// is a pure function of the configuration.
+    /// is a pure function of the configuration.  Indices past the end of
+    /// `counts` hold no agents.
     ///
     /// # Panics
     ///
@@ -517,31 +359,68 @@ impl<P: AgentCodec> DecodedStint<P> {
         let n: u64 = counts.iter().sum();
         assert!(n >= 2, "a population needs at least two agents, got {n}");
         let mut states = Vec::with_capacity(n as usize);
-        states.extend(expand_counts(&codec, counts));
+        states.extend(Self::agents_of(&codec, counts));
         Self::from_states(codec, states, seeded_rng(seed), 0)
     }
 
     /// A stint over `states` that resumes the schedule from `rng` after
-    /// `interactions` steps; the census is computed from the states.
+    /// `interactions` steps.
     fn from_states(
         codec: P,
-        states: Vec<<P::Native as Protocol>::State>,
+        states: Vec<NativeState<P>>,
         rng: SmallRng,
         interactions: u64,
     ) -> Self {
         DecodedStint {
-            census: Census::new(&states),
             sim: Simulator::from_parts(codec.native(), states, rng, interactions),
             codec,
+            witnesses: RefCell::default(),
         }
+    }
+
+    /// The agents of a counts configuration in state-index order:
+    /// `counts[0]` agents in the state behind index 0, then `counts[1]` in
+    /// the state behind index 1, and so on.  Each occupied index is decoded
+    /// once.
+    fn agents_of<'a>(codec: &'a P, counts: &'a [u64]) -> impl Iterator<Item = NativeState<P>> + 'a {
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .flat_map(|(s, &c)| std::iter::repeat_n(codec.decode_agent(s), c as usize))
+    }
+
+    /// Build a stint from `source`: [`StintSource::Counts`] expands the
+    /// configuration ([`Self::from_counts`]), [`StintSource::Saved`] reads
+    /// back what [`AgentStint::save_stint`] wrote.
+    fn from_source(codec: P, source: StintSource<'_>) -> Result<Self, SimError>
+    where
+        NativeState<P>: PersistState,
+    {
+        let bytes = match source {
+            StintSource::Counts { counts, seed } => {
+                return Ok(Self::from_counts(codec, counts, seed))
+            }
+            StintSource::Saved(bytes) => bytes,
+        };
+        let mut r = SnapshotReader::new(bytes);
+        let interactions = r.read::<u64>()?;
+        let rng = unpersist_rng(&mut r)?;
+        let states = r.read::<Vec<NativeState<P>>>()?;
+        r.finish()?;
+        if states.len() < 2 {
+            return Err(SimError::SnapshotCorrupt {
+                reason: format!("per-agent stint population {} is below 2", states.len()),
+            });
+        }
+        Ok(Self::from_states(codec, states, rng, interactions))
     }
 
     /// Build a boxed stint from `source` — the one-line body of
     /// [`DenseProtocol::agent_stint`] overrides.  [`StintSource::Counts`]
     /// expands the configuration ([`Self::from_counts`]);
     /// [`StintSource::Saved`] rebuilds a stint from
-    /// [`AgentStint::save_stint`] bytes, recomputing the census, hashes and
-    /// occupancy counter from the state vector rather than trusting them.
+    /// [`AgentStint::save_stint`] bytes.
     ///
     /// # Errors
     ///
@@ -558,50 +437,15 @@ impl<P: AgentCodec> DecodedStint<P> {
     where
         <P as DenseProtocol>::Output: 'static,
         P::Native: 'static,
-        <P::Native as Protocol>::State: PersistState,
+        NativeState<P>: PersistState,
     {
-        let bytes = match source {
-            StintSource::Counts { counts, seed } => {
-                return Ok(Box::new(Self::from_counts(codec, counts, seed)))
-            }
-            StintSource::Saved(bytes) => bytes,
-        };
-        let mut r = SnapshotReader::new(bytes);
-        let interactions = r.read::<u64>()?;
-        let rng = unpersist_rng(&mut r)?;
-        let states = r.read::<Vec<<P::Native as Protocol>::State>>()?;
-        r.finish()?;
-        if states.len() < 2 {
-            return Err(SimError::SnapshotCorrupt {
-                reason: format!("per-agent stint population {} is below 2", states.len()),
-            });
-        }
-        Ok(Box::new(Self::from_states(
-            codec,
-            states,
-            rng,
-            interactions,
-        )))
-    }
-
-    /// The codec this stint decodes/encodes through.
-    #[must_use]
-    pub fn codec(&self) -> &P {
-        &self.codec
+        Ok(Box::new(Self::from_source(codec, source)?))
     }
 
     /// Borrow the native per-agent states.
     #[must_use]
-    pub fn states(&self) -> &[<P::Native as Protocol>::State] {
+    pub fn states(&self) -> &[NativeState<P>] {
         self.sim.states()
-    }
-
-    /// Execute exactly one interaction and maintain the census.
-    pub fn step(&mut self) {
-        let (i, j) = self.sim.step_pair();
-        let states = self.sim.states();
-        self.census.refresh(i, &states[i]);
-        self.census.refresh(j, &states[j]);
     }
 }
 
@@ -611,7 +455,6 @@ impl<P: AgentCodec> fmt::Debug for DecodedStint<P> {
             .field("kind", &self.codec.stint_label())
             .field("population", &self.sim.population())
             .field("interactions", &self.sim.interactions())
-            .field("occupied", &self.census.occupied)
             .finish_non_exhaustive()
     }
 }
@@ -621,12 +464,10 @@ where
     P: AgentCodec,
     P::Native: 'static,
     <P as DenseProtocol>::Output: 'static,
-    <P::Native as Protocol>::State: PersistState,
+    NativeState<P>: PersistState,
 {
     fn run(&mut self, budget: u64) {
-        for _ in 0..budget {
-            self.step();
-        }
+        self.sim.run(budget);
     }
 
     fn interactions(&self) -> u64 {
@@ -637,16 +478,34 @@ where
         self.sim.population()
     }
 
-    fn occupied_states(&self) -> usize {
-        self.census.occupied
+    fn occupied_states(&self, limit: usize) -> usize {
+        let states = self.sim.states();
+        let mut witnesses = self.witnesses.borrow_mut();
+        let mut seen: HashSet<&NativeState<P>, FxBuildHasher> =
+            HashSet::with_capacity_and_hasher(limit.min(states.len()), FxBuildHasher::default());
+        let mut found = Vec::new();
+        // Every agent is a candidate, so looking at the last witnesses
+        // first changes only how soon the count reaches its limit.
+        let candidates = witnesses.iter().map(|&i| (i, &states[i]));
+        for (i, state) in candidates.chain(states.iter().enumerate()) {
+            if seen.len() == limit {
+                break;
+            }
+            if seen.insert(state) {
+                found.push(i);
+            }
+        }
+        if seen.len() == limit {
+            *witnesses = found;
+        }
+        seen.len()
     }
 
     fn counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.codec.num_states()];
         // Deduplicate through a local index cache so each distinct state
         // hits the locked interner once, not once per agent.
-        let mut index_of: HashMap<<P::Native as Protocol>::State, usize, FxBuildHasher> =
-            HashMap::default();
+        let mut index_of: HashMap<NativeState<P>, usize, FxBuildHasher> = HashMap::default();
         for state in self.sim.states() {
             let idx = *index_of
                 .entry(state.clone())
@@ -657,7 +516,10 @@ where
     }
 
     fn count_of(&self, state: usize) -> u64 {
-        count_agents(&self.codec, self.sim.states(), state)
+        match self.codec.try_decode_agent(state) {
+            Some(target) => self.sim.states().iter().filter(|&s| *s == target).count() as u64,
+            None => 0,
+        }
     }
 
     fn output_stats(&self) -> ConfigurationStats<<P as DenseProtocol>::Output> {
@@ -665,9 +527,49 @@ where
     }
 
     fn transfer(&mut self, from: usize, to: usize, k: u64) -> Result<(), SimError> {
-        transfer_agents(&self.codec, self.sim.states_mut(), from, to, k, |i, s| {
-            self.census.refresh(i, s);
-        })
+        let (Some(from_state), Some(to_state)) = (
+            self.codec.try_decode_agent(from),
+            self.codec.try_decode_agent(to),
+        ) else {
+            return Err(SimError::InvalidParameter {
+                name: "transfer",
+                reason: format!(
+                    "states ({from}, {to}) outside the assigned state space 0..{}",
+                    self.codec.num_states()
+                ),
+            });
+        };
+        let available = self.count_of(from);
+        if available < k {
+            return Err(SimError::InvalidParameter {
+                name: "transfer",
+                reason: format!("cannot move {k} agents out of state {from} holding {available}"),
+            });
+        }
+        // The first `k` agents in `from`, in agent order.
+        let movers = self
+            .sim
+            .states_mut()
+            .iter_mut()
+            .filter(|s| **s == from_state);
+        for state in movers.take(k as usize) {
+            *state = to_state.clone();
+        }
+        Ok(())
+    }
+
+    fn set_counts(&mut self, counts: &[u64]) -> Result<(), SimError> {
+        check_counts(
+            counts,
+            self.codec.num_states(),
+            self.sim.population() as u64,
+        )?;
+        // The counts sum to the population, so they fill every slot.
+        let slots = self.sim.states_mut().iter_mut();
+        for (slot, state) in slots.zip(Self::agents_of(&self.codec, counts)) {
+            *slot = state;
+        }
+        Ok(())
     }
 
     fn corrupt(
@@ -676,16 +578,36 @@ where
         rng: &mut SmallRng,
         new_state: &mut dyn FnMut(usize, &mut SmallRng) -> usize,
     ) -> Result<(), SimError> {
-        corrupt_agents(
-            &self.codec,
-            self.sim.states_mut(),
-            k,
-            rng,
-            new_state,
-            |i, s| {
-                self.census.refresh(i, s);
-            },
-        )
+        let n = self.sim.population();
+        if k > n as u64 {
+            return Err(SimError::InvalidParameter {
+                name: "corrupt",
+                reason: format!("cannot corrupt {k} of {n} agents"),
+            });
+        }
+        let states = self.sim.states_mut();
+        // Partial Fisher–Yates: after `k` swap steps the prefix of `idx` is a
+        // uniform k-subset of the agents, in a uniform order.  On an error
+        // the victims before the failing one stay corrupted.
+        let mut idx: Vec<usize> = (0..n).collect();
+        for v in 0..k as usize {
+            let swap = v + rng.gen_range(0..n - v);
+            idx.swap(v, swap);
+            let victim = idx[v];
+            let current = self.codec.encode_agent(&states[victim]);
+            let target = new_state(current, rng);
+            states[victim] =
+                self.codec
+                    .try_decode_agent(target)
+                    .ok_or_else(|| SimError::InvalidParameter {
+                        name: "corrupt",
+                        reason: format!(
+                            "target state {target} outside the assigned state space 0..{}",
+                            self.codec.num_states()
+                        ),
+                    })?;
+        }
+        Ok(())
     }
 
     fn kind(&self) -> &'static str {
@@ -706,18 +628,46 @@ where
     }
 }
 
+/// Build the per-agent stint `protocol` runs from `source`: its own through
+/// the [`DenseProtocol::agent_stint`] hook, or else a [`DecodedStint`] over
+/// [`IndexCodec`], stepping dense indices through `transition`.  Every stint
+/// the hybrid and sequential engines run is built here.
+///
+/// A saved fallback stint holds dense indices, which mean something only
+/// under the protocol state restored beside them: one the protocol never
+/// assigned (an interned protocol's index beyond its census) is refused
+/// with [`SimError::SnapshotCorrupt`] here, instead of panicking at the
+/// next interaction that reads it.
+pub(crate) fn build_stint<P: DenseProtocol + Clone + Send + 'static>(
+    protocol: &P,
+    source: StintSource<'_>,
+) -> Result<BoxedAgentStint<P::Output>, SimError> {
+    if let Some(stint) = protocol.agent_stint(source) {
+        return stint;
+    }
+    let stint = DecodedStint::from_source(IndexCodec(protocol.clone()), source)?;
+    if let StintSource::Saved(_) = source {
+        let assigned = assigned_states(protocol);
+        if let Some(a) = stint.states().iter().find(|&&a| a as usize >= assigned) {
+            return Err(SimError::SnapshotCorrupt {
+                reason: format!("agent state {a} outside the assigned states 0..{assigned}"),
+            });
+        }
+    }
+    Ok(Box::new(stint))
+}
+
 /// The identity codec over dense indices: the "native" state *is* the `u32`
 /// index and stepping goes through [`DenseProtocol::transition`] — for
 /// interned protocols, straight through the interner.
 ///
-/// It serves two engines.  The hybrid engine falls back to
+/// The hybrid and sequential engines fall back to
 /// `DecodedStint<IndexCodec<P>>` for protocols that do not override
-/// [`DenseProtocol::agent_stint`] (stint kind `"interned"`), and the
-/// sequential variant of [`DenseSimulator`](crate::DenseSimulator) is a
-/// `Simulator<IndexCodec<P>>`: a `Simulator` over this codec executes
-/// exactly the transition system a `BatchedSimulator<P>` does, so the two
-/// engines differ only in how they sample the schedule, which is what the
-/// equivalence tests exercise.
+/// [`DenseProtocol::agent_stint`] (stint kind `"interned"`).  As a plain
+/// [`Protocol`], a `Simulator<IndexCodec<P>>` executes exactly the
+/// transition system a `BatchedSimulator<P>` does, so the two engines differ
+/// only in how they sample the schedule, which is what the equivalence
+/// tests exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexCodec<P>(pub P);
 
@@ -833,7 +783,7 @@ mod tests {
         let counts = vec![9_999u64, 1];
         let mut stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 3);
         assert_eq!(stint.population(), 10_000);
-        assert_eq!(stint.occupied_states(), 2);
+        assert_eq!(stint.occupied_states(usize::MAX), 2);
         stint.run(5_000);
         assert_eq!(stint.interactions(), 5_000);
         let tallied = stint.counts();
@@ -842,14 +792,16 @@ mod tests {
     }
 
     #[test]
-    fn census_tracks_occupancy_to_saturation() {
+    fn occupancy_count_follows_the_epidemic_to_saturation() {
         let counts = vec![499u64, 1];
         let mut stint = DecodedStint::from_counts(IndexCodec(Rumor), &counts, 11);
+        assert_eq!(stint.occupied_states(usize::MAX), 2);
+        assert_eq!(stint.occupied_states(1), 1, "the count stops at its limit");
         // Run the epidemic to saturation: occupancy collapses 2 → 1.
         while stint.count_of(1) < 500 {
             stint.run(1_000);
         }
-        assert_eq!(stint.occupied_states(), 1);
+        assert_eq!(stint.occupied_states(usize::MAX), 1);
         assert_eq!(stint.counts(), vec![0, 500]);
         assert_eq!(stint.output_stats().count_of(&true), 500);
     }
@@ -858,7 +810,7 @@ mod tests {
     fn stint_matches_the_sequential_simulator_trajectory_exactly() {
         // Same seed, same scheduler, same RNG consumption: the decoded stint
         // over the identity codec must replicate Simulator<IndexCodec<_>>
-        // (the sequential dense engine) bit for bit.
+        // bit for bit.
         use crate::simulator::Simulator;
         let n = 300usize;
         let mut reference = Simulator::new(IndexCodec(Rumor), n, 42).unwrap();
@@ -883,7 +835,7 @@ mod tests {
         assert!(stint.transfer(0, 5, 1).is_err());
         stint.transfer(0, 1, 4).unwrap();
         assert_eq!(stint.count_of(1), 4);
-        assert_eq!(stint.occupied_states(), 2);
+        assert_eq!(stint.occupied_states(usize::MAX), 2);
         assert_eq!(stint.counts(), vec![6, 4]);
     }
 
@@ -913,7 +865,10 @@ mod tests {
         let mut restored =
             DecodedStint::boxed(IndexCodec(Rumor), StintSource::Saved(&bytes)).unwrap();
         assert_eq!(restored.interactions(), 1_000);
-        assert_eq!(restored.occupied_states(), reference.occupied_states());
+        assert_eq!(
+            restored.occupied_states(usize::MAX),
+            reference.occupied_states(usize::MAX)
+        );
         assert_eq!(restored.counts(), reference.counts());
 
         reference.run(2_000);

@@ -1,11 +1,12 @@
-//! The sequential dense engine and the hybrid engine's per-agent stint act
-//! on the same configuration Markov chain with the same per-agent
-//! operations: expanding counts into agents in state-index order, counting
-//! agents in a state, moving agents between states and corrupting a uniform
-//! subset of agents.  Driven alike, they must hold equal agent vectors.
+//! The sequential dense engine is the hybrid engine's per-agent stint: for
+//! a protocol without a codec it is a `DecodedStint` over `IndexCodec`,
+//! built from the same configuration and seed.  Driven alike — replacing
+//! the configuration, corrupting a uniform subset of agents, moving agents
+//! between states, running — the two must save the same stint bytes
+//! (interaction count, schedule RNG, agents in order).
 
 use ppsim::stint::{AgentStint, DecodedStint, IndexCodec};
-use ppsim::{seeded_rng, DenseProtocol, DenseSimulator, Engine};
+use ppsim::{seeded_rng, Checkpointable, DenseProtocol, DenseSimulator, Engine, SnapshotReader};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -29,20 +30,34 @@ impl DenseProtocol for Octet {
     }
 }
 
-fn sequential_states(sim: &DenseSimulator<Octet>) -> Vec<u32> {
-    match sim {
-        DenseSimulator::Sequential(s) => s.states().to_vec(),
-        _ => unreachable!("the test builds the sequential engine"),
-    }
+/// The stint bytes of a sequential-engine snapshot: the payload's second
+/// field, after the (empty) protocol state.
+fn sequential_stint_bytes(sim: &DenseSimulator<Octet>) -> Vec<u8> {
+    let snapshot = sim.save_state();
+    let mut r = SnapshotReader::new(snapshot.payload());
+    assert!(
+        r.read::<Vec<u8>>().unwrap().is_empty(),
+        "Octet has no state"
+    );
+    let stint = r.read::<Vec<u8>>().unwrap();
+    r.finish().unwrap();
+    stint
+}
+
+fn stint_bytes(stint: &DecodedStint<IndexCodec<Octet>>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    stint.save_stint(&mut bytes);
+    bytes
 }
 
 #[test]
-fn sequential_engine_and_stint_hold_equal_agent_vectors() {
+fn sequential_engine_and_stint_save_equal_bytes() {
+    let seed = 3;
     let counts = vec![40, 0, 25, 10, 0, 0, 24, 1];
-    let mut seq = DenseSimulator::new(Engine::Sequential, Octet, 100, 3).unwrap();
+    let mut seq = DenseSimulator::new(Engine::Sequential, Octet, 100, seed).unwrap();
     seq.set_counts(counts.clone()).unwrap();
-    let mut stint = DecodedStint::from_counts(IndexCodec(Octet), &counts, 5);
-    assert_eq!(sequential_states(&seq), stint.states());
+    let mut stint = DecodedStint::from_counts(IndexCodec(Octet), &counts, seed);
+    assert_eq!(sequential_stint_bytes(&seq), stint_bytes(&stint));
 
     // The replacement draws from the caller's RNG too, so both engines must
     // also consume that stream identically.
@@ -53,11 +68,15 @@ fn sequential_engine_and_stint_hold_equal_agent_vectors() {
     stint
         .corrupt(30, &mut seeded_rng(17), &mut new_state)
         .unwrap();
-    assert_eq!(sequential_states(&seq), stint.states());
+    assert_eq!(sequential_stint_bytes(&seq), stint_bytes(&stint));
 
     seq.transfer(2, 5, 7).unwrap();
     stint.transfer(2, 5, 7).unwrap();
-    assert_eq!(sequential_states(&seq), stint.states());
+    assert_eq!(sequential_stint_bytes(&seq), stint_bytes(&stint));
+
+    seq.run(1_000);
+    stint.run(1_000);
+    assert_eq!(sequential_stint_bytes(&seq), stint_bytes(&stint));
 
     let counts = seq.counts();
     assert_eq!(counts, stint.counts());
@@ -67,11 +86,15 @@ fn sequential_engine_and_stint_hold_equal_agent_vectors() {
         assert_eq!(stint.count_of(state), count, "state {state}");
     }
     let occupied = counts.iter().filter(|&&c| c > 0).count();
-    assert_eq!(stint.occupied_states(), occupied);
+    assert_eq!(stint.occupied_states(usize::MAX), occupied);
 
     for (from, to) in [(0, 8), (8, 0)] {
         assert!(seq.transfer(from, to, 1).is_err(), "{from} -> {to}");
         assert!(stint.transfer(from, to, 1).is_err(), "{from} -> {to}");
     }
-    assert_eq!(sequential_states(&seq), stint.states());
+    // A replacement keeps the schedule RNG and the interaction count.
+    seq.set_counts(vec![100, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+    stint.set_counts(&[100, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+    assert_eq!(seq.interactions(), 1_000);
+    assert_eq!(sequential_stint_bytes(&seq), stint_bytes(&stint));
 }

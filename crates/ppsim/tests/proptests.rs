@@ -7,10 +7,10 @@ use rand::Rng;
 use ppsim::faultsim::kill_and_resume;
 use ppsim::scheduler::{AllPairsScheduler, Scheduler, UniformScheduler};
 use ppsim::{
-    derive_seed, seeded_rng, AdversarialRun, BatchedSimulator, Checkpointable, CorruptionTarget,
-    DecodedStint, DenseProtocol, Engine, EngineSnapshot, FaultEvent, FaultKind, FaultPlan,
-    HybridSimulator, IndexCodec, InitStrategy, Protocol, ShardedBatchedSimulator, ShardedConfig,
-    Simulator, StateSpaceTracker, StintSource,
+    derive_seed, seeded_rng, AdversarialRun, AgentStint, BatchedSimulator, Checkpointable,
+    CorruptionTarget, DecodedStint, DenseProtocol, Engine, EngineSnapshot, FaultEvent, FaultKind,
+    FaultPlan, HybridSimulator, IndexCodec, InitStrategy, OccupancyMonitor, Protocol,
+    ShardedBatchedSimulator, ShardedConfig, Simulator, StateSpaceTracker, StintSource,
 };
 
 /// One-way epidemic on two dense states, for the count-based engines.
@@ -278,5 +278,88 @@ proptest! {
             kill_after,
         ).unwrap();
         prop_assert!(verdict.bit_identical(), "{}", verdict.describe());
+    }
+}
+
+/// Twelve states stepped as dense indices: the initiator advances by one,
+/// so agents spread over every state.
+#[derive(Debug, Clone, Copy)]
+struct Cycle;
+impl DenseProtocol for Cycle {
+    type Output = usize;
+    fn num_states(&self) -> usize {
+        12
+    }
+    fn initial_state(&self) -> usize {
+        0
+    }
+    fn transition(&self, u: usize, v: usize) -> (usize, usize) {
+        ((u + 1) % 12, v)
+    }
+    fn output(&self, s: usize) -> usize {
+        s
+    }
+}
+
+proptest! {
+    /// A stint's bounded occupancy count is `min(distinct, limit)` for every
+    /// limit from 0 past the population, against a sort-and-dedup
+    /// reference, also after interactions moved the agents the last count
+    /// stopped at.
+    #[test]
+    fn occupied_states_is_the_distinct_count_capped_at_the_limit(
+        counts in proptest::collection::vec(0u64..6, 12..13),
+        seed in any::<u64>(),
+    ) {
+        let n = counts.iter().sum::<u64>() as usize;
+        prop_assume!(n >= 2);
+        let mut stint = DecodedStint::from_counts(IndexCodec(Cycle), &counts, seed);
+        for _ in 0..4 {
+            let mut distinct = stint.states().to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            for limit in (0..=n + 1).rev().chain(0..=n + 1) {
+                prop_assert_eq!(stint.occupied_states(limit), distinct.len().min(limit));
+            }
+            prop_assert_eq!(stint.occupied_states(usize::MAX), distinct.len());
+            stint.run(n as u64 / 3 + 1);
+        }
+    }
+
+    /// In per-agent mode, an occupancy count capped at the monitor's count
+    /// limit decides exactly as the exact count does, in every population,
+    /// and the limit is the smallest `c` with `c² ≥ 8·√n`.
+    #[test]
+    fn a_count_capped_at_the_limit_decides_as_the_exact_count(
+        n in 2u64..10_000_000,
+        seed in any::<u64>(),
+        observations in 1usize..200,
+    ) {
+        let mut exact = OccupancyMonitor::new(n);
+        let mut capped = OccupancyMonitor::new(n);
+        let c = exact.count_limit();
+        let down = 8.0 * (n as f64).sqrt();
+        prop_assert!((c as f64) * (c as f64) >= down);
+        prop_assert!(c == 0 || ((c - 1) as f64) * ((c - 1) as f64) < down);
+        // Occupancies spanning both thresholds (up at q² > 64·√n), so runs
+        // switch both ways.
+        let span = 3 * (64.0 * (n as f64).sqrt()).sqrt() as u64 + 2;
+        let mut x = seed | 1;
+        for _ in 0..observations {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let occ = (x % span) as usize;
+            let seen = if capped.is_dense() { occ } else { occ.min(c) };
+            prop_assert_eq!(exact.observe(occ), capped.observe(seen));
+            prop_assert_eq!(exact.is_dense(), capped.is_dense());
+        }
+    }
+}
+
+#[test]
+fn the_count_limit_is_pinned_at_three_sizes() {
+    for (n, c) in [(2_000, 19), (10_000, 29), (100_000, 51)] {
+        assert_eq!(OccupancyMonitor::new(n).count_limit(), c, "n = {n}");
     }
 }

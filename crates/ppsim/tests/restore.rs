@@ -1,18 +1,62 @@
 //! Restores of an interned protocol's snapshots: a dense-mode hybrid
 //! snapshot replays alike whatever simulator it is restored into, and a
-//! snapshot naming states its interner never assigned is refused with a
-//! typed error instead of being accepted and panicking at the next run.
+//! snapshot naming states its interner never assigned — on the dense
+//! substrate, or in a per-agent stint of dense indices on the hybrid or
+//! sequential engine — is refused with a typed error instead of being
+//! accepted and panicking at the next run.
 
 use popcount::{CountExactParams, DenseCountExact};
 use ppsim::snapshot::{ENGINE_DENSE_SEQUENTIAL, ENGINE_HYBRID};
 use ppsim::{
     derive_seed, Checkpointable, DenseProtocol, DenseSimulator, Engine, EngineSnapshot,
-    HybridSimulator, HybridSubstrate, PersistState, SimError, SnapshotReader,
+    HybridSimulator, HybridSubstrate, PersistState, ProtocolInvariants, SimError, SnapshotReader,
 };
 
 /// `CountExact` tuned for population `n`, on an interner of its own.
 fn count_exact(n: usize, capacity: usize) -> DenseCountExact {
     DenseCountExact::with_capacity(CountExactParams::dense_at_scale(n), capacity)
+}
+
+/// `DenseCountExact` without its codec: every `DenseProtocol` method but
+/// `agent_stint` forwards, so its per-agent stints step `u32` dense indices
+/// through the interner instead of native structs.
+#[derive(Debug, Clone)]
+struct CodecLess(DenseCountExact);
+impl DenseProtocol for CodecLess {
+    type Output = Option<u64>;
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn initial_state(&self) -> usize {
+        self.0.initial_state()
+    }
+    fn transition(&self, u: usize, v: usize) -> (usize, usize) {
+        self.0.transition(u, v)
+    }
+    fn output(&self, s: usize) -> Option<u64> {
+        self.0.output(s)
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn invariants(&self) -> ProtocolInvariants {
+        self.0.invariants()
+    }
+    fn legitimate(&self, counts: &[u64]) -> Option<bool> {
+        self.0.legitimate(counts)
+    }
+    fn dynamic(&self) -> bool {
+        self.0.dynamic()
+    }
+    fn discovered_states(&self) -> Option<usize> {
+        self.0.discovered_states()
+    }
+    fn save_protocol_state(&self) -> Vec<u8> {
+        self.0.save_protocol_state()
+    }
+    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), SimError> {
+        self.0.restore_protocol_state(bytes)
+    }
 }
 
 /// One dense-mode snapshot restored into a dense simulator holding a run of
@@ -139,23 +183,61 @@ fn a_hybrid_snapshot_naming_unassigned_states_is_refused() {
     );
 }
 
+/// The same forgery on a per-agent hybrid snapshot of a protocol without a
+/// codec, whose stint agents are `u32` dense indices: the re-framed payload
+/// names indices a fresh interner never assigned.  A restore that accepted
+/// it would leave the next `run` to panic with "dense index … has no
+/// interned state".
+#[test]
+fn a_per_agent_hybrid_snapshot_naming_unassigned_states_is_refused() {
+    let n = 500;
+    let capacity = 1 << 16;
+    let proto = CodecLess(count_exact(n, capacity));
+    let mut sim = HybridSimulator::new(proto.clone(), n, 3).unwrap();
+    sim.run(2_000);
+    sim.switch_to_agent().unwrap();
+    sim.run(200);
+    assert_eq!(sim.stint_kind(), Some("interned"));
+    assert!(proto.0.states_discovered() > 1);
+
+    let snapshot = sim.save_state();
+    let empty = count_exact(n, capacity).save_protocol_state();
+    let payload = snapshot.payload().to_vec();
+    let forged = replace_field(&payload, hybrid_protocol_field(&payload), &empty);
+    let forged = EngineSnapshot::new(ENGINE_HYBRID, forged);
+
+    let build = || HybridSimulator::new(CodecLess(count_exact(n, capacity)), n, 3).unwrap();
+    let refused = build().restore_state(&forged);
+    assert!(
+        matches!(refused, Err(SimError::SnapshotCorrupt { .. })),
+        "{refused:?}"
+    );
+    // The genuine snapshot still restores.
+    build().restore_state(&snapshot).unwrap();
+}
+
 /// The same forgery on the sequential engine, whose agents are `u32` dense
-/// indices.
+/// indices for a protocol without a codec.
 #[test]
 fn a_sequential_snapshot_naming_unassigned_states_is_refused() {
     let n = 200;
-    let proto = count_exact(n, 1 << 16);
+    let proto = CodecLess(count_exact(n, 1 << 16));
     let mut sim = DenseSimulator::new(Engine::Sequential, proto.clone(), n, 11).unwrap();
     sim.run(20 * n as u64);
-    assert!(proto.states_discovered() > 1);
+    assert!(proto.0.states_discovered() > 1);
 
     let empty = count_exact(n, 1 << 16).save_protocol_state();
     let payload = sim.save_state().payload().to_vec();
     let forged = replace_field(&payload, 0, &empty);
     let snapshot = EngineSnapshot::new(ENGINE_DENSE_SEQUENTIAL, forged);
 
-    let mut target =
-        DenseSimulator::new(Engine::Sequential, count_exact(n, 1 << 16), n, 11).unwrap();
+    let mut target = DenseSimulator::new(
+        Engine::Sequential,
+        CodecLess(count_exact(n, 1 << 16)),
+        n,
+        11,
+    )
+    .unwrap();
     let refused = target.restore_state(&snapshot);
     assert!(
         matches!(refused, Err(SimError::SnapshotCorrupt { .. })),

@@ -1,4 +1,4 @@
-//! Golden-file tests pinning the `ppsim::snapshot` binary format (v4).
+//! Golden-file tests pinning the `ppsim::snapshot` binary format (v5).
 //!
 //! These bytes are a compatibility contract: checkpoints written by one
 //! build must restore in the next.  If a change here is intentional, bump
@@ -164,7 +164,7 @@ fn golden_sequential_snapshot_bytes_are_pinned() {
 }
 
 /// The sequential variant of `DenseSimulator` (protocol state plus the
-/// inner per-agent payload), pinned the same way.
+/// per-agent stint: interaction count, RNG, agents), pinned the same way.
 #[test]
 fn golden_dense_sequential_snapshot_bytes_are_pinned() {
     let mut sim = DenseSimulator::new(Engine::Sequential, Rumor, 4, 1).unwrap();
@@ -175,9 +175,9 @@ fn golden_dense_sequential_snapshot_bytes_are_pinned() {
     assert_eq!(
         format!("{}{}", hex(&bytes[..4]), hex(&bytes[8..])),
         "50505353\
-         05500000000000000000000000000000004000000000000000\
+         055000000000000000000000000000000040000000000000000700000000000000\
          515afa1e8c3cda2ceac288561db0ed7e63ef39218ed02a8159df41396a99c22f\
-         0700000000000000040000000000000001000000000000000000000000000000807df4e9"
+         0400000000000000010000000000000000000000000000007d587c72"
     );
 }
 
@@ -196,7 +196,7 @@ fn golden_hybrid_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "505053530400000004a200000000000000040000000000000001000000000000\
+        "505053530500000004a200000000000000040000000000000001000000000000\
          0000030000000000000003000000000000000000000000000000000100000000\
          0000000000000001000000000000000300000000000000000200000000000000\
          000200000000000000000140000000000000000400000000000000c228400a6d\
@@ -286,11 +286,13 @@ fn future_versions_are_refused() {
 /// Frames from earlier format versions are refused the same way: a reader
 /// accepts only its own version, so no v1 checkpoint (whose hybrid payload
 /// held the interner twice), v2 one (whose hybrid and staged payloads
-/// carried a stint-mode flag) or v3 one (whose hybrid payload carried the
-/// switch thresholds, window and cadence) reaches a v4 decoder.
+/// carried a stint-mode flag), v3 one (whose hybrid payload carried the
+/// switch thresholds, window and cadence) or v4 one (whose sequential
+/// payload wrapped a `Simulator` frame, RNG ahead of the interaction count)
+/// reaches a v5 decoder.
 #[test]
 fn past_versions_are_refused() {
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         match EngineSnapshot::from_bytes(&frame_with_version(version)) {
             Err(SimError::SnapshotVersion { found, supported }) => {
                 assert_eq!(found, version);
