@@ -1490,15 +1490,16 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
             );
             let valid = matches!(sim.output_stats().unanimous(),
                                  Some(&Some(k)) if k == floor || k == ceil);
+            let legs = sim.legs();
             RichOutcome {
                 n,
                 converged: outcome.converged() && valid,
                 interactions: sim.interactions(),
-                dense: sim.dense_interactions(),
-                agent: sim.agent_interactions(),
+                dense: legs.dense_interactions,
+                agent: legs.agent_interactions,
                 switches: sim.switches().iter().map(|e| e.interactions).collect(),
                 states: handle.states_discovered(),
-                agent_seconds: sim.agent_seconds(),
+                agent_seconds: legs.agent_seconds,
                 seconds: start.elapsed().as_secs_f64(),
             }
         })

@@ -39,56 +39,67 @@
 //! ([`ppsim::stint`]), so the refinement loop carries no interner traffic at
 //! all (a stint over interned indices cost a measured ~40 % of that leg at
 //! `n = 10⁵`, 3.15 against 6.97 M interactions/s).
+//!
+//! Below [`ppsim::SEQUENTIAL_CROSSOVER`], [`Engine::Auto`] resolves to the
+//! sequential engine, and the run is that same decoded stint from start to
+//! finish ([`ppsim::DenseSequential`]), with no hand-off.  Every resolution
+//! runs through one [`DenseSimulator`] over one `DenseCountExact`, so the
+//! runner has one restore, one autosave and one run loop.
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use ppsim::snapshot::ENGINE_COMPOSITE_BASE;
 use ppsim::{
-    Checkpointable, Engine, EngineSnapshot, HybridSimulator, HybridSubstrate, PersistState,
-    SimError, Simulator,
+    Checkpointable, DenseSimulator, Engine, EngineSnapshot, HybridSimulator, HybridSubstrate,
+    PersistState, SimError,
 };
 
 use crate::params::CountExactParams;
 
-use super::count_exact::{CountExact, DenseCountExact};
+use super::count_exact::DenseCountExact;
 
 /// Engine tag of the composite staged-runner snapshot: a
 /// [`count_exact_dense_staged`] checkpoint wraps the inner engine snapshot
 /// together with the run parameters that shape its trajectory.
 pub const ENGINE_STAGED: u8 = ENGINE_COMPOSITE_BASE;
 
-/// Outcome of a staged (hybrid) dense `CountExact` run.
+/// Outcome of a staged dense `CountExact` run.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use]
 pub struct StagedCountOutcome {
     /// Total interactions executed across the run.
     pub interactions: u64,
-    /// Interactions executed on the count-based substrate.
+    /// Interactions executed on the count-based substrate (0 on the
+    /// sequential resolution).
     pub dense_interactions: u64,
     /// Interactions executed on the per-agent engine.  Always
     /// `interactions - dense_interactions`: the phase counters partition the
     /// total exactly (no interaction is counted in both phases at a switch).
     pub agent_interactions: u64,
     /// Wall-clock seconds this process spent on the count-based substrate
-    /// (per-leg throughput accounting; 0 for runs that resolved to the
-    /// sequential engine).  A resumed run times only what ran after the
-    /// resume.
+    /// (per-leg throughput accounting; 0 on the sequential resolution).  A
+    /// resumed run times only what ran after the resume.
     pub dense_seconds: f64,
-    /// Wall-clock seconds this process spent on per-agent stints.
+    /// Wall-clock seconds this process spent on per-agent stints: the
+    /// hybrid engine's own leg timer, or on the sequential resolution the
+    /// whole run as this runner timed it (convergence probes and autosaves
+    /// included).
     pub agent_seconds: f64,
     /// Total-interaction counts at which the hybrid engine migrated between
     /// representations (the measured switch points; empty when the run never
-    /// left the dense substrate or ran entirely per-agent).
+    /// left the dense substrate or resolved to the sequential engine).
     pub switch_interactions: Vec<u64>,
-    /// Distinct dense states the run interned (0 when the whole run stayed
-    /// on the per-agent engine with struct states).  Decoded stints intern
-    /// only at migration boundaries, so this census covers the dense legs
-    /// plus each boundary configuration — far below the `Θ(n)` transient
-    /// states the refinement mints.
+    /// Distinct dense states the run interned.  Decoded stints intern only
+    /// at their boundaries, so on the hybrid engine this census covers the
+    /// dense legs plus each migration's configuration — far below the
+    /// `Θ(n)` transient states the refinement mints — and on the sequential
+    /// resolution, whose one stint never crosses a boundary, it is the
+    /// initial state alone (1).
     pub states_discovered: usize,
     /// The per-agent stepping representation the hybrid engine used
-    /// (`Some("decoded")` through the protocol's codec, `None` if no stint
-    /// ran).
+    /// (`Some("decoded")` through the protocol's codec); `None` if the
+    /// hybrid engine never migrated, and on the sequential resolution.
     pub stint_kind: Option<&'static str>,
     /// The unanimous output, if the run converged (`Some(n)` when correct).
     pub output: Option<u64>,
@@ -105,8 +116,10 @@ pub struct StagedCountOutcome {
 /// `engine` selects the dense substrate: [`Engine::Batched`] and
 /// [`Engine::Hybrid`] run it batched, [`Engine::Sharded`] sharded.  If
 /// `engine` resolves to [`Engine::Sequential`] (small populations under
-/// [`Engine::Auto`]), the whole run stays per-agent on struct states and no
-/// hand-off machinery is involved.  `budget` caps the *total* interactions.
+/// [`Engine::Auto`]), the run is the sequential engine
+/// ([`ppsim::DenseSequential`]): the same decoded per-agent stint, stepping
+/// native structs through the protocol's codec from start to finish, with
+/// no hand-off.  `budget` caps the *total* interactions.
 ///
 /// # Errors
 ///
@@ -170,8 +183,10 @@ pub struct StagedCheckpoint {
 ///
 /// The snapshot is a composite frame (tag [`ENGINE_STAGED`]) wrapping the
 /// inner engine snapshot with the run parameters that shape the trajectory
-/// (`params`, `n`, `seed`, engine kind); `resume` fails with
-/// [`SimError::SnapshotMismatch`] when those disagree with the arguments.
+/// (`params`, `n`, `seed`); `resume` fails with
+/// [`SimError::SnapshotMismatch`] when those disagree with the arguments, or
+/// when the inner snapshot's engine tag names another engine than `engine`
+/// resolves to (sequential against hybrid).
 ///
 /// # Errors
 ///
@@ -195,113 +210,66 @@ pub fn count_exact_dense_staged_checkpointed(
     };
 
     let substrate = match engine.resolve(n) {
-        Engine::Sequential => {
-            // Small populations: the per-agent engine serves every stage.
-            let mut sim = Simulator::new(CountExact::new(params), n, seed)?;
-            if let Some((kind, inner)) = &resumed {
-                expect_kind(*kind, KIND_SEQUENTIAL)?;
-                sim.restore_state(inner)?;
-            }
-            let started = std::time::Instant::now();
-            let mut saver = Autosaver::new(autosave, sim.interactions());
-            let outcome = sim.run_until(
-                |s| {
-                    saver.observe(s, s.interactions(), &params, n, seed, KIND_SEQUENTIAL)
-                        || s.output_stats().unanimous().is_some_and(|o| o.is_some())
-                },
-                check_every,
-                budget,
-            );
-            saver.into_result()?;
-            let output = sim.output_stats().unanimous().cloned().flatten();
-            return Ok(StagedCountOutcome {
-                interactions: sim.interactions(),
-                dense_interactions: 0,
-                agent_interactions: sim.interactions(),
-                dense_seconds: 0.0,
-                agent_seconds: started.elapsed().as_secs_f64(),
-                switch_interactions: Vec::new(),
-                states_discovered: 0,
-                stint_kind: None,
-                output,
-                converged: outcome.converged(),
-            });
-        }
-        Engine::Sharded { shards, threads } => HybridSubstrate::Sharded { shards, threads },
-        Engine::Batched | Engine::Hybrid => HybridSubstrate::Batched,
+        Engine::Sequential => None,
+        Engine::Sharded { shards, threads } => Some(HybridSubstrate::Sharded { shards, threads }),
+        Engine::Batched | Engine::Hybrid => Some(HybridSubstrate::Batched),
         Engine::Auto => unreachable!("resolve() never returns Auto"),
     };
-
     let proto = DenseCountExact::with_capacity(params, CountExactParams::dense_capacity(n));
     let handle = proto.clone(); // shares the interner: state census + decode
-    let mut sim = HybridSimulator::with_substrate(proto, n, seed, substrate)?;
-    if let Some((kind, inner)) = &resumed {
-        expect_kind(*kind, KIND_HYBRID)?;
+    let mut sim = match substrate {
+        None => DenseSimulator::new(Engine::Sequential, proto, n, seed)?,
+        Some(substrate) => DenseSimulator::Hybrid(Box::new(HybridSimulator::with_substrate(
+            proto, n, seed, substrate,
+        )?)),
+    };
+    if let Some(inner) = &resumed {
         sim.restore_state(inner)?;
     }
+    let started = Instant::now();
     let mut saver = Autosaver::new(autosave, sim.interactions());
     let outcome = sim.run_until(
         |s| {
-            saver.observe(s, s.interactions(), &params, n, seed, KIND_HYBRID)
+            saver.observe(s, &params, n, seed)
                 || s.output_stats().unanimous().is_some_and(|o| o.is_some())
         },
         check_every,
         budget,
     );
+    let seconds = started.elapsed().as_secs_f64();
     saver.into_result()?;
-    let output = sim.output_stats().unanimous().cloned().flatten();
-    debug_assert_eq!(
-        sim.dense_interactions() + sim.agent_interactions(),
-        sim.interactions(),
-        "phase counters must partition the total exactly"
-    );
+    let interactions = sim.interactions();
+    // The sequential resolution has one leg, per-agent, timed here.
+    let legs = sim.hybrid_legs();
     Ok(StagedCountOutcome {
-        interactions: sim.interactions(),
-        dense_interactions: sim.dense_interactions(),
-        agent_interactions: sim.agent_interactions(),
-        dense_seconds: sim.dense_seconds(),
-        agent_seconds: sim.agent_seconds(),
-        switch_interactions: sim.switches().iter().map(|e| e.interactions).collect(),
+        interactions,
+        dense_interactions: legs.map_or(0, |l| l.dense_interactions),
+        agent_interactions: legs.map_or(interactions, |l| l.agent_interactions),
+        dense_seconds: legs.map_or(0.0, |l| l.dense_seconds),
+        agent_seconds: legs.map_or(seconds, |l| l.agent_seconds),
+        switch_interactions: sim.switch_points(),
         states_discovered: handle.states_discovered(),
-        stint_kind: sim.stint_kind(),
-        output,
+        stint_kind: legs.and_then(|l| l.stint_kind),
+        output: sim.output_stats().unanimous().cloned().flatten(),
         converged: outcome.converged(),
     })
 }
 
-/// Engine-resolution kind recorded in the composite frame: per-agent
-/// [`Simulator`] (small populations under [`Engine::Auto`]).
-const KIND_SEQUENTIAL: u8 = 0;
-/// Engine-resolution kind recorded in the composite frame: [`HybridSimulator`].
-const KIND_HYBRID: u8 = 1;
-
-fn expect_kind(found: u8, expected: u8) -> Result<(), SimError> {
-    if found == expected {
-        return Ok(());
-    }
-    let name = |k| match k {
-        KIND_SEQUENTIAL => "sequential",
-        KIND_HYBRID => "hybrid",
-        _ => "unknown",
-    };
-    Err(SimError::SnapshotMismatch {
-        reason: format!(
-            "staged snapshot was taken on the {} engine but this run resolved to the {} engine \
-             (same n and engine selection reproduce the original resolution)",
-            name(found),
-            name(expected)
-        ),
-    })
-}
-
 /// Wrap the inner engine snapshot in the composite staged frame together
-/// with every run parameter that shapes the trajectory.
-fn staged_snapshot<S: Checkpointable>(
-    sim: &S,
+/// with every run parameter that shapes the trajectory:
+///
+/// ```text
+/// u8, u8, u32, u8   params: clock_hours, level_offset, election_phases,
+///                   refinement_constant_log2
+/// u64, u64          n, seed
+/// Vec<u8>           the inner engine frame (its own tag tells the
+///                   sequential engine from the hybrid one)
+/// ```
+fn staged_snapshot(
+    sim: &DenseSimulator<DenseCountExact>,
     params: &CountExactParams,
     n: usize,
     seed: u64,
-    kind: u8,
 ) -> EngineSnapshot {
     let mut payload = Vec::new();
     params.clock_hours.persist(&mut payload);
@@ -310,19 +278,18 @@ fn staged_snapshot<S: Checkpointable>(
     params.refinement_constant_log2.persist(&mut payload);
     n.persist(&mut payload);
     seed.persist(&mut payload);
-    kind.persist(&mut payload);
     sim.save_state().to_bytes().persist(&mut payload);
     EngineSnapshot::new(ENGINE_STAGED, payload)
 }
 
 /// Read a composite staged checkpoint, validate the trajectory-shaping
-/// parameters against the caller's, and hand back `(kind, inner snapshot)`.
+/// parameters against the caller's, and hand back the inner snapshot.
 fn read_staged_snapshot(
     path: &Path,
     params: &CountExactParams,
     n: usize,
     seed: u64,
-) -> Result<(u8, EngineSnapshot), SimError> {
+) -> Result<EngineSnapshot, SimError> {
     let snap = EngineSnapshot::read_file(path)?;
     snap.expect_engine(ENGINE_STAGED, "staged CountExact runner")?;
     let mut r = snap.reader();
@@ -334,7 +301,6 @@ fn read_staged_snapshot(
     };
     let saved_n = usize::unpersist(&mut r)?;
     let saved_seed = u64::unpersist(&mut r)?;
-    let kind = u8::unpersist(&mut r)?;
     let inner_bytes = Vec::<u8>::unpersist(&mut r)?;
     r.finish()?;
     if saved != *params || saved_n != n || saved_seed != seed {
@@ -345,7 +311,7 @@ fn read_staged_snapshot(
             ),
         });
     }
-    Ok((kind, EngineSnapshot::from_bytes(&inner_bytes)?))
+    EngineSnapshot::from_bytes(&inner_bytes)
 }
 
 /// Periodic autosave state threaded through `run_until`'s convergence probe:
@@ -367,23 +333,22 @@ impl<'a> Autosaver<'a> {
         }
     }
 
-    fn observe<S: Checkpointable>(
+    fn observe(
         &mut self,
-        sim: &S,
-        interactions: u64,
+        sim: &DenseSimulator<DenseCountExact>,
         params: &CountExactParams,
         n: usize,
         seed: u64,
-        kind: u8,
     ) -> bool {
         let Some(spec) = self.spec else { return false };
         if self.error.is_some() {
             return true;
         }
+        let interactions = sim.interactions();
         if interactions.saturating_sub(self.last_saved) < spec.every.max(1) {
             return false;
         }
-        match staged_snapshot(sim, params, n, seed, kind).write_atomic(&spec.path) {
+        match staged_snapshot(sim, params, n, seed).write_atomic(&spec.path) {
             Ok(()) => {
                 self.last_saved = interactions;
                 false
@@ -451,6 +416,8 @@ mod tests {
         assert_eq!(outcome.output, Some(2_000));
     }
 
+    /// Below the crossover the run is the sequential engine from start to
+    /// finish; its trajectory is pinned like the benchmark seed's.
     #[test]
     fn sequential_resolution_skips_the_hand_off() {
         let n = 500usize;
@@ -464,9 +431,25 @@ mod tests {
         .unwrap();
         assert!(outcome.converged);
         assert_eq!(outcome.output, Some(n as u64));
+        assert_eq!(outcome.interactions, 1_940_000);
         assert_eq!(outcome.dense_interactions, 0);
         assert_eq!(outcome.agent_interactions, outcome.interactions);
         assert!(outcome.switch_interactions.is_empty());
+        assert_eq!(outcome.stint_kind, None);
+        assert!(outcome.agent_seconds > 0.0, "the runner times the one leg");
+    }
+
+    /// The sequential resolution's one stint never crosses a boundary, so
+    /// the interner holds the initial state alone.
+    #[test]
+    fn sequential_resolution_interns_only_the_initial_state() {
+        let n = 500usize;
+        let budget = (n as u64) * 20 * 3;
+        let outcome =
+            count_exact_dense_staged(CountExactParams::default(), n, 7, Engine::Auto, budget)
+                .unwrap();
+        assert_eq!(outcome.interactions, budget);
+        assert_eq!(outcome.states_discovered, 1);
     }
 
     fn scratch_path(tag: &str) -> PathBuf {
@@ -532,6 +515,7 @@ mod tests {
         let budget = u64::MAX >> 1;
         let reference = count_exact_dense_staged(params, n, 5, Engine::Auto, budget).unwrap();
         assert!(reference.converged);
+        assert_eq!(reference.interactions, 2_256_000);
 
         let path = scratch_path("sequential");
         let spec = StagedCheckpoint {
@@ -562,43 +546,63 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(resumed.interactions, reference.interactions);
         assert_eq!(resumed.output, reference.output);
+        assert_eq!(resumed.states_discovered, reference.states_discovered);
     }
 
     #[test]
     fn resume_validates_parameters_and_engine_resolution() {
         let n = 2_000usize;
         let params = CountExactParams::dense_at_scale(n);
-        let path = scratch_path("validate");
-        let spec = StagedCheckpoint {
-            path: path.clone(),
-            every: 1,
+        // One autosave per resolution: at this n, `Auto` resolves to the
+        // sequential engine and `Batched` to the hybrid one.
+        let autosave = |engine, tag| {
+            let path = scratch_path(tag);
+            let spec = StagedCheckpoint {
+                path: path.clone(),
+                every: 1,
+            };
+            // Only the snapshot written as a side effect matters here.
+            let _ = count_exact_dense_staged_checkpointed(
+                params,
+                n,
+                9,
+                engine,
+                (n as u64) * 20 * 2,
+                Some(&spec),
+                None,
+            )
+            .unwrap();
+            path
         };
-        // Only the snapshot written as a side effect matters here.
-        let _ = count_exact_dense_staged_checkpointed(
-            params,
-            n,
-            9,
-            Engine::Batched,
-            (n as u64) * 20 * 2,
-            Some(&spec),
-            None,
-        )
-        .unwrap();
+        let hybrid = autosave(Engine::Batched, "validate-hybrid");
+        let sequential = autosave(Engine::Auto, "validate-sequential");
 
-        // Different seed: the snapshot is for another trajectory.
-        let err = count_exact_dense_staged_checkpointed(
-            params,
-            n,
-            10,
-            Engine::Batched,
-            u64::MAX >> 1,
-            None,
-            Some(&path),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::SnapshotMismatch { .. }), "{err}");
+        for (seed, engine, path) in [
+            // Different seed: the snapshot is for another trajectory.
+            (10, Engine::Batched, &hybrid),
+            // Same run, other resolution: each way, the inner frame names
+            // the engine it was taken on.
+            (9, Engine::Auto, &hybrid),
+            (9, Engine::Batched, &sequential),
+        ] {
+            let err = count_exact_dense_staged_checkpointed(
+                params,
+                n,
+                seed,
+                engine,
+                u64::MAX >> 1,
+                None,
+                Some(path),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, SimError::SnapshotMismatch { .. }),
+                "{engine:?}, seed {seed}: {err}"
+            );
+        }
 
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&hybrid);
+        let _ = std::fs::remove_file(&sequential);
     }
 
     #[test]

@@ -267,8 +267,9 @@ fn hybrid_round_trip_preserves_the_count_exact_configuration_at_ten_thousand() {
 
     sim.run(50_000);
     assert_eq!(sim.interactions(), interactions + 50_000);
+    let legs = sim.legs();
     assert_eq!(
-        sim.dense_interactions() + sim.agent_interactions(),
+        legs.dense_interactions + legs.agent_interactions,
         sim.interactions(),
         "phase counters partition the total across manual migrations"
     );
@@ -297,8 +298,9 @@ fn hybrid_phase_counters_match_a_lockstep_budget() {
             reference.interactions(),
             "hybrid and lockstep sequential runs must count the same schedule"
         );
+        let legs = sim.legs();
         assert_eq!(
-            sim.dense_interactions() + sim.agent_interactions(),
+            legs.dense_interactions + legs.agent_interactions,
             driven,
             "phase counters must sum to the driven budget at every boundary"
         );

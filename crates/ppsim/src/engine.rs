@@ -159,7 +159,7 @@ impl Engine {
 ///
 /// The protocol bound is the union of the engines' needs (`Clone + Send` for
 /// the sharded engine's per-shard copies).  Convergence predicates receive
-/// `&DenseSimulator`, so the same experiment code drives all three engines;
+/// `&DenseSimulator`, so the same experiment code drives all four engines;
 /// note that [`Self::count_of`] and [`Self::counts`] scan the per-agent
 /// state vector in `O(n)` on the sequential engine — cheap in exactly the
 /// small-`n` regime that engine is for.
@@ -414,7 +414,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> DenseSimulator<P> {
     /// Run until `pred` holds (checked every `check_every` interactions, and
     /// once before the first step) or until `max_interactions` *total*
     /// interactions have been executed — the shared `run_until` contract of
-    /// the three engines.
+    /// the four engines.
     pub fn run_until<F>(&mut self, pred: F, check_every: u64, max_interactions: u64) -> RunOutcome
     where
         F: FnMut(&Self) -> bool,

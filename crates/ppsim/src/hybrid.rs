@@ -353,9 +353,9 @@ enum Mode<P: DenseProtocol + Clone + Send> {
 ///
 /// Mirrors the driving surface of the other engines (`run`, `run_until`,
 /// `transfer`, `output_stats`, seeded construction) and additionally exposes
-/// the switch log ([`Self::switches`]) and per-representation interaction
-/// counters ([`Self::dense_interactions`], [`Self::agent_interactions`]),
-/// which always sum to [`Self::interactions`].
+/// the switch log ([`Self::switches`]) and the per-leg accounting
+/// ([`Self::legs`]), whose two interaction counts always sum to
+/// [`Self::interactions`].
 #[derive(Debug, Clone)]
 pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
     protocol: P,
@@ -364,12 +364,11 @@ pub struct HybridSimulator<P: DenseProtocol + Clone + Send> {
     substrate: HybridSubstrate,
     monitor: OccupancyMonitor,
     mode: Mode<P>,
-    /// Interactions accumulated by representations already retired; the live
-    /// counter is `completed + mode.interactions()`.  Each migration folds
-    /// the retiring engine's counter in here exactly once — the partial
-    /// block in flight at switch time is never re-counted because engines
-    /// only ever run to exact slice boundaries.
-    completed: u64,
+    /// Interactions executed by the dense and per-agent engines already
+    /// retired; the live counter is their sum plus `mode`'s own.  Each
+    /// migration folds the retiring engine's counter into its leg's total
+    /// exactly once — the partial block in flight at switch time is never
+    /// re-counted because engines only ever run to exact slice boundaries.
     dense_total: u64,
     agent_total: u64,
     /// Wall-clock seconds this process spent in each representation, and
@@ -420,7 +419,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             seed,
             substrate,
             mode,
-            completed: 0,
             dense_total: 0,
             agent_total: 0,
             dense_secs: 0.0,
@@ -493,27 +491,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     /// representations.
     #[must_use]
     pub fn interactions(&self) -> u64 {
-        self.completed + self.mode_interactions()
-    }
-
-    /// Interactions executed on the count-based substrate so far.
-    #[must_use]
-    pub fn dense_interactions(&self) -> u64 {
-        self.dense_total
-            + match &self.mode {
-                Mode::Batched(_) | Mode::Sharded(_) => self.mode_interactions(),
-                Mode::Agent(_) => 0,
-            }
-    }
-
-    /// Interactions executed on the per-agent engine so far.
-    #[must_use]
-    pub fn agent_interactions(&self) -> u64 {
-        self.agent_total
-            + match &self.mode {
-                Mode::Agent(_) => self.mode_interactions(),
-                Mode::Batched(_) | Mode::Sharded(_) => 0,
-            }
+        self.dense_total + self.agent_total + self.mode_interactions()
     }
 
     fn mode_interactions(&self) -> u64 {
@@ -524,31 +502,22 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
         }
     }
 
-    /// Wall-clock seconds this simulator has spent executing on the
-    /// count-based substrate since construction or the last restore
-    /// (per-leg throughput accounting).
-    #[must_use]
-    pub fn dense_seconds(&self) -> f64 {
-        self.dense_secs
-    }
-
-    /// Wall-clock seconds this simulator has spent executing per-agent
-    /// stints since construction or the last restore.
-    #[must_use]
-    pub fn agent_seconds(&self) -> f64 {
-        self.agent_secs
-    }
-
-    /// The per-leg accounting in one struct (interaction counts, wall-clock
-    /// seconds with the interactions they timed, and the stint kind — see
-    /// [`HybridLegs`]).
+    /// The per-leg accounting (interaction counts, wall-clock seconds since
+    /// construction or the last restore with the interactions they timed,
+    /// and the stint kind — see [`HybridLegs`]).
     #[must_use]
     pub fn legs(&self) -> HybridLegs {
+        let live = self.mode_interactions();
+        let (dense_live, agent_live) = if self.is_dense() {
+            (live, 0)
+        } else {
+            (0, live)
+        };
         HybridLegs {
-            dense_interactions: self.dense_interactions(),
+            dense_interactions: self.dense_total + dense_live,
             dense_seconds: self.dense_secs,
             dense_timed_interactions: self.dense_timed,
-            agent_interactions: self.agent_interactions(),
+            agent_interactions: self.agent_total + agent_live,
             agent_seconds: self.agent_secs,
             agent_timed_interactions: self.agent_timed,
             stint_kind: self.stint_kind,
@@ -559,14 +528,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
     #[must_use]
     pub fn is_dense(&self) -> bool {
         !matches!(self.mode, Mode::Agent(_))
-    }
-
-    /// The stepping representation of the most recent per-agent stint
-    /// (`"decoded"` for native-struct stints, `"interned"` for the `u32`
-    /// index fallback), or `None` if the run has never left dense mode.
-    #[must_use]
-    pub fn stint_kind(&self) -> Option<&'static str> {
-        self.stint_kind
     }
 
     /// The representation migrations performed so far, in order.
@@ -684,9 +645,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
                         seed,
                     },
                 )?;
-                let executed = self.mode_interactions();
-                self.completed += executed;
-                self.agent_total += executed;
+                self.agent_total += self.mode_interactions();
                 self.stint_kind = Some(stint.kind());
                 self.mode = Mode::Agent(stint);
                 self.monitor.reset_window();
@@ -845,7 +804,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> HybridSimulator<P> {
             }
         };
         let executed = self.mode_interactions();
-        self.completed += executed;
         match &self.mode {
             Mode::Batched(_) | Mode::Sharded(_) => self.dense_total += executed,
             Mode::Agent(_) => self.agent_total += executed,
@@ -1006,8 +964,8 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 /// u64            population n
 /// u64            seed (drives future switch-seed derivation)
 /// u8             substrate tag (0 batched, 1 sharded) [+ u64 shards, u64 threads]
-/// u64 × 4        completed, dense_total, agent_total, next_observation
-/// bool, u32      monitor mode flag, monitor streak
+/// u64 × 3        dense_total, agent_total, next_observation
+/// u32            monitor streak
 /// switch log     count + (interactions, direction, occupied, discovered?) each
 /// u8             stint-kind tag (0 none / 1 decoded / 2 interned)
 /// Vec<u8>        protocol state (interner contents for dynamic protocols)
@@ -1017,12 +975,14 @@ fn stint_kind_from_tag(tag: u8) -> Result<Option<&'static str>, SimError> {
 ///                agent mode the stint
 /// ```
 ///
-/// Wall-clock accounting (`dense_seconds`, `agent_seconds` and the
-/// interactions timed alongside them) is deliberately **not** persisted — it
-/// is the one piece of state that is not a pure function of the trajectory —
-/// and is zeroed on restore.  That exclusion is what makes snapshot-byte
-/// equality a valid trajectory-equality check (the fault-injection harness
-/// relies on it).
+/// Each fact is stored once: the total interaction count is the two leg
+/// totals plus the inner engine's own count, and the monitor's mode belief
+/// is the mode tag.  Wall-clock accounting (the seconds of [`HybridLegs`]
+/// and the interactions timed alongside them) is deliberately **not**
+/// persisted — it is the one piece of state that is not a pure function of
+/// the trajectory — and is zeroed on restore.  That exclusion is what makes
+/// snapshot-byte equality a valid trajectory-equality check (the
+/// fault-injection harness relies on it).
 ///
 /// A dense-mode snapshot is restored into the live batched or sharded
 /// engine **in place**: its state-space-long buffers are reused, so the
@@ -1056,11 +1016,9 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 threads.persist(&mut payload);
             }
         }
-        self.completed.persist(&mut payload);
         self.dense_total.persist(&mut payload);
         self.agent_total.persist(&mut payload);
         self.next_observation.persist(&mut payload);
-        self.monitor.dense.persist(&mut payload);
         self.monitor.streak.persist(&mut payload);
         self.switches.len().persist(&mut payload);
         for e in &self.switches {
@@ -1111,11 +1069,9 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
                 })
             }
         };
-        let completed = r.read::<u64>()?;
         let dense_total = r.read::<u64>()?;
         let agent_total = r.read::<u64>()?;
         let next_observation = r.read::<u64>()?;
-        let monitor_dense = r.read::<bool>()?;
         let monitor_streak = r.read::<u32>()?;
         let num_switches = r.read::<usize>()?;
         let mut switches = Vec::with_capacity(num_switches.min(1024));
@@ -1222,7 +1178,6 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         }
 
         self.seed = seed;
-        self.completed = completed;
         self.dense_total = dense_total;
         self.agent_total = agent_total;
         // Wall-clock is not part of the trajectory and was not persisted;
@@ -1232,7 +1187,7 @@ impl<P: DenseProtocol + Clone + Send + 'static> Checkpointable for HybridSimulat
         self.dense_timed = 0;
         self.agent_timed = 0;
         self.next_observation = next_observation;
-        self.monitor.dense = monitor_dense;
+        self.monitor.dense = self.is_dense();
         self.monitor.streak = monitor_streak;
         self.switches = switches;
         self.stint_kind = stint_kind;
@@ -1297,8 +1252,9 @@ mod tests {
         assert!(outcome.converged());
         assert!(sim.is_dense());
         assert!(sim.switches().is_empty());
-        assert_eq!(sim.agent_interactions(), 0);
-        assert_eq!(sim.dense_interactions(), sim.interactions());
+        let legs = sim.legs();
+        assert_eq!(legs.agent_interactions, 0);
+        assert_eq!(legs.dense_interactions, sim.interactions());
     }
 
     #[test]
@@ -1314,9 +1270,10 @@ mod tests {
              (switches: {:?})",
             sim.switches()
         );
-        assert!(sim.agent_interactions() > 0);
+        let legs = sim.legs();
+        assert!(legs.agent_interactions > 0);
         assert_eq!(
-            sim.dense_interactions() + sim.agent_interactions(),
+            legs.dense_interactions + legs.agent_interactions,
             sim.interactions(),
             "phase counters must partition the total"
         );
@@ -1331,8 +1288,9 @@ mod tests {
             sim.run(chunk);
             assert_eq!(sim.interactions(), before + chunk);
         }
+        let legs = sim.legs();
         assert_eq!(
-            sim.dense_interactions() + sim.agent_interactions(),
+            legs.dense_interactions + legs.agent_interactions,
             sim.interactions()
         );
     }
@@ -1591,7 +1549,7 @@ mod tests {
             Err(SimError::SnapshotMismatch { .. })
         ));
         coded.restore_state(&decoded).unwrap();
-        assert_eq!(coded.stint_kind(), Some("decoded"));
+        assert_eq!(coded.legs().stint_kind, Some("decoded"));
 
         let mut plain = HybridSimulator::new(Rumor, 1_000, 4).unwrap();
         assert!(matches!(
@@ -1599,7 +1557,7 @@ mod tests {
             Err(SimError::SnapshotMismatch { .. })
         ));
         plain.restore_state(&interned).unwrap();
-        assert_eq!(plain.stint_kind(), Some("interned"));
+        assert_eq!(plain.legs().stint_kind, Some("interned"));
     }
 
     proptest! {

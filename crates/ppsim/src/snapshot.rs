@@ -19,19 +19,23 @@
 //! is rebuilt on restore: collision samplers (a pure function of `n`),
 //! transition tables and δ-memos (functions of the protocol; memos may hold
 //! stale state indices from another process and must be rebuilt), output
-//! caches, occupancy flag vectors (derivable from the occupied list), and
-//! scratch buffers.  Wall-clock accounting (the hybrid engine's per-leg
-//! seconds) is also excluded — so snapshot bytes are a pure function of the
-//! trajectory and byte equality is a valid trajectory-equality check.
+//! caches, occupancy flag vectors (derivable from the occupied list), the
+//! hybrid engine's total interaction count (its two per-leg totals plus the
+//! inner engine's count) and its monitor's mode belief (the mode tag), and
+//! scratch buffers.  A composite frame (the staged `CountExact` runner's)
+//! tells which engine it wraps only through the inner frame's own engine
+//! tag.  Wall-clock accounting (the hybrid engine's per-leg seconds) is also
+//! excluded — so snapshot bytes are a pure function of the trajectory and
+//! byte equality is a valid trajectory-equality check.
 //!
-//! # Format layout (version 5)
+//! # Format layout (version 6)
 //!
 //! All integers are little-endian; there is no padding.
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"PPSS"
-//! 4       4     u32    format version (currently 5)
+//! 4       4     u32    format version (currently 6)
 //! 8       1     u8     engine tag (see the ENGINE_* constants)
 //! 9       8     u64    payload length L
 //! 17      L     [u8]   payload (engine-specific, see each engine's docs)
@@ -81,7 +85,7 @@ use crate::error::SimError;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPSS";
 
 /// The format version this build writes, and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Engine tag: [`crate::Simulator`] (per-agent sequential).
 pub const ENGINE_SEQUENTIAL: u8 = 1;

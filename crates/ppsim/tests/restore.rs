@@ -134,10 +134,10 @@ fn hybrid_protocol_field(payload: &[u8]) -> usize {
     let _population = r.read::<u64>().unwrap();
     let _seed = r.read::<u64>().unwrap();
     assert_eq!(r.read::<u8>().unwrap(), 0, "the batched substrate");
-    for _counter in 0..4 {
+    for _counter in 0..3 {
         r.read::<u64>().unwrap();
     }
-    let _monitor = r.read::<(bool, u32)>().unwrap();
+    let _streak = r.read::<u32>().unwrap();
     for _ in 0..r.read::<usize>().unwrap() {
         let _switch = r.read::<((u64, u8), (usize, Option<usize>))>().unwrap();
     }
@@ -197,7 +197,7 @@ fn a_per_agent_hybrid_snapshot_naming_unassigned_states_is_refused() {
     sim.run(2_000);
     sim.switch_to_agent().unwrap();
     sim.run(200);
-    assert_eq!(sim.stint_kind(), Some("interned"));
+    assert_eq!(sim.legs().stint_kind, Some("interned"));
     assert!(proto.0.states_discovered() > 1);
 
     let snapshot = sim.save_state();

@@ -1,4 +1,4 @@
-//! Golden-file tests pinning the `ppsim::snapshot` binary format (v5).
+//! Golden-file tests pinning the `ppsim::snapshot` binary format (v6).
 //!
 //! These bytes are a compatibility contract: checkpoints written by one
 //! build must restore in the next.  If a change here is intentional, bump
@@ -182,10 +182,12 @@ fn golden_dense_sequential_snapshot_bytes_are_pinned() {
 }
 
 /// The hybrid engine's frame in per-agent mode, pinned byte for byte: the
-/// population, seed and substrate, the monitor bookkeeping, the one-entry
-/// switch log, the stint kind, and the stint itself (interaction count,
-/// RNG, agent states).  The switch rule is fixed, so no threshold, window
-/// or cadence is stored.
+/// population, seed and substrate, the two leg totals, the next
+/// observation and the monitor's streak, the one-entry switch log, the
+/// stint kind, and the stint itself (interaction count, RNG, agent states).
+/// The switch rule is fixed, so no threshold, window or cadence is stored;
+/// the total interaction count and the monitor's mode are derived, so
+/// neither is stored either.
 #[test]
 fn golden_hybrid_snapshot_bytes_are_pinned() {
     let mut sim = HybridSimulator::new(Rumor, 4, 1).unwrap();
@@ -196,12 +198,12 @@ fn golden_hybrid_snapshot_bytes_are_pinned() {
     let bytes = sim.save_state().to_bytes();
     assert_eq!(
         hex(&bytes),
-        "505053530500000004a200000000000000040000000000000001000000000000\
-         0000030000000000000003000000000000000000000000000000000100000000\
-         0000000000000001000000000000000300000000000000000200000000000000\
-         000200000000000000000140000000000000000400000000000000c228400a6d\
-         dd3554954e431f52798a899f2e82c8b7eabcc1dc37877729e713960400000000\
-         000000010000000100000001000000010000000548712e"
+        "5050535306000000049900000000000000040000000000000001000000000000\
+         0000030000000000000000000000000000000001000000000000000000000100\
+         0000000000000300000000000000000200000000000000000200000000000000\
+         000140000000000000000400000000000000c228400a6ddd3554954e431f5279\
+         8a899f2e82c8b7eabcc1dc37877729e713960400000000000000010000000100\
+         0000010000000100000055348860"
     );
 }
 
@@ -287,12 +289,14 @@ fn future_versions_are_refused() {
 /// accepts only its own version, so no v1 checkpoint (whose hybrid payload
 /// held the interner twice), v2 one (whose hybrid and staged payloads
 /// carried a stint-mode flag), v3 one (whose hybrid payload carried the
-/// switch thresholds, window and cadence) or v4 one (whose sequential
-/// payload wrapped a `Simulator` frame, RNG ahead of the interaction count)
-/// reaches a v5 decoder.
+/// switch thresholds, window and cadence), v4 one (whose sequential payload
+/// wrapped a `Simulator` frame, RNG ahead of the interaction count) or v5
+/// one (whose hybrid payload carried its total interaction count and the
+/// monitor's mode flag, and whose staged payload an engine-kind byte)
+/// reaches a v6 decoder.
 #[test]
 fn past_versions_are_refused() {
-    for version in [1, 2, 3, 4] {
+    for version in [1, 2, 3, 4, 5] {
         match EngineSnapshot::from_bytes(&frame_with_version(version)) {
             Err(SimError::SnapshotVersion { found, supported }) => {
                 assert_eq!(found, version);

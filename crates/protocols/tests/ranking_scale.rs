@@ -64,7 +64,7 @@ fn hybrid_flees_a_degenerate_replacement_immediately_at_n_100k() {
     assert_eq!(sim.switches()[0].interactions, 0);
     assert_eq!(sim.switches()[0].occupied, n);
     assert_eq!(
-        sim.stint_kind(),
+        sim.legs().stint_kind,
         Some("decoded"),
         "the codec stint steps native structs"
     );
