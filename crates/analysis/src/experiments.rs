@@ -21,13 +21,12 @@ use popcount::{
     ApproximateBackup, ApproximateParams, CountExact, CountExactParams, DenseApproximate,
     ExactBackup, StableApproximate, StableCountExact, StagedCheckpoint, TokenMergingCounter,
 };
-use ppproto::fast_leader_election::FastLeaderElectionProtocol;
 use ppproto::junta::{all_inactive, junta_size, max_level, JuntaProtocol};
-use ppproto::leader_election::LeaderElectionProtocol;
 use ppproto::scenarios::{standard_matrix, MatrixConfig};
 use ppproto::{
-    dense_all_inactive, dense_max_level, DenseEpidemic, DenseJunta, FastLeaderElectionConfig,
-    LeaderElectionConfig, OneWayEpidemic, PowersOfTwoLoadBalancing, SynchronizedClockProtocol,
+    dense_all_inactive, dense_max_level, DenseEpidemic, DenseJunta, FastLeaderElection,
+    FastLeaderElectionConfig, LeaderElection, LeaderElectionConfig, OneWayEpidemic,
+    PowersOfTwoLoadBalancing, SyncComposition, SynchronizedClockProtocol,
 };
 use ppproto::{HermanTokens, SelfStabRanking, StochasticCoalescence, TradeoffElection};
 use ppsim::{
@@ -323,14 +322,17 @@ pub fn e04_leader_election(effort: Effort) -> ExperimentReport {
     let sizes = effort.sizes(&[256, 1024], &[256, 1024, 4096, 16384]);
     let trials = effort.trials(3, 8);
     let results = sweep(&sizes, trials, 0xE04, |n, seed| {
-        let proto = LeaderElectionProtocol::new(16, LeaderElectionConfig { outer_hours: 32 });
+        let proto = SyncComposition::new(
+            16,
+            LeaderElection::new(LeaderElectionConfig { outer_hours: 32 }),
+        );
         let mut sim = Simulator::new(proto, n, seed).unwrap();
         let outcome = sim.run_until(
-            |s| s.states().iter().all(|a| a.election.done),
+            |s| s.states().iter().all(|a| a.inner.done),
             (n * 10) as u64,
             (300.0 * n_log2_n(n)) as u64,
         );
-        let leaders = sim.states().iter().filter(|a| a.election.contender).count();
+        let leaders = sim.states().iter().filter(|a| a.inner.contender).count();
         TrialResult {
             n,
             seed,
@@ -363,20 +365,20 @@ pub fn e05_fast_leader_election(effort: Effort) -> ExperimentReport {
     let sizes = effort.sizes(&[256, 1024], &[256, 1024, 4096, 16384, 65536]);
     let trials = effort.trials(3, 8);
     let results = sweep(&sizes, trials, 0xE05, |n, seed| {
-        let proto = FastLeaderElectionProtocol::new(
+        let proto = SyncComposition::new(
             16,
-            FastLeaderElectionConfig {
+            FastLeaderElection::new(FastLeaderElectionConfig {
                 level_offset: 2,
                 total_phases: 32,
-            },
+            }),
         );
         let mut sim = Simulator::new(proto, n, seed).unwrap();
         let outcome = sim.run_until(
-            |s| s.states().iter().all(|a| a.election.done),
+            |s| s.states().iter().all(|a| a.inner.done),
             (n * 10) as u64,
             (2_000.0 * n_log_n(n)) as u64,
         );
-        let leaders = sim.states().iter().filter(|a| a.election.contender).count();
+        let leaders = sim.states().iter().filter(|a| a.inner.contender).count();
         TrialResult {
             n,
             seed,
@@ -538,7 +540,7 @@ fn run_count_exact(n: usize, seed: u64) -> (bool, u64, Option<i64>, Option<u64>)
         (n * 20) as u64,
         (6_000.0 * n_log_n(n)) as u64,
     );
-    let approx = sim.states().iter().find_map(|a| a.approximation());
+    let approx = sim.states().iter().find_map(|a| a.inner.approximation());
     let output = sim.output_stats().unanimous().cloned().flatten();
     (
         outcome.converged(),
@@ -819,7 +821,7 @@ pub fn e15_state_space(effort: Effort) -> ExperimentReport {
                 for a in s.states() {
                     let mut key = *a;
                     key.sync.clock.phase %= 5;
-                    key.election.outer.phase = 0;
+                    key.inner.election.outer.phase = 0;
                     tracker.record_state(&key);
                 }
                 all_estimated(s.states())
@@ -844,9 +846,9 @@ pub fn e15_state_space(effort: Effort) -> ExperimentReport {
                 for a in s.states() {
                     let mut key = *a;
                     key.sync.clock.phase %= 8;
-                    key.stage.tag = 0;
-                    key.stage.origin_phase = 0;
-                    key.stage.start_phase = 0;
+                    key.inner.stage.tag = 0;
+                    key.inner.stage.origin_phase = 0;
+                    key.inner.stage.start_phase = 0;
                     tracker.record_state(&key);
                 }
                 all_counted(s.protocol(), s.states(), n)

@@ -1,8 +1,9 @@
 //! E04/E05 — Lemmas 6 and 7: leader election of \[18\] vs FastLeaderElection.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppproto::fast_leader_election::FastLeaderElectionProtocol;
-use ppproto::leader_election::LeaderElectionProtocol;
-use ppproto::{FastLeaderElectionConfig, LeaderElectionConfig};
+use ppproto::{
+    FastLeaderElection, FastLeaderElectionConfig, LeaderElection, LeaderElectionConfig,
+    SyncComposition,
+};
 use ppsim::Simulator;
 
 fn bench_leader_election(c: &mut Criterion) {
@@ -13,11 +14,13 @@ fn bench_leader_election(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let proto =
-                    LeaderElectionProtocol::new(16, LeaderElectionConfig { outer_hours: 32 });
+                let proto = SyncComposition::new(
+                    16,
+                    LeaderElection::new(LeaderElectionConfig { outer_hours: 32 }),
+                );
                 let mut sim = Simulator::new(proto, n, seed).unwrap();
                 sim.run_until(
-                    |s| s.states().iter().all(|a| a.election.done),
+                    |s| s.states().iter().all(|a| a.inner.done),
                     (n * 10) as u64,
                     u64::MAX,
                 )
@@ -28,16 +31,16 @@ fn bench_leader_election(c: &mut Criterion) {
             let mut seed = 100u64;
             b.iter(|| {
                 seed += 1;
-                let proto = FastLeaderElectionProtocol::new(
+                let proto = SyncComposition::new(
                     16,
-                    FastLeaderElectionConfig {
+                    FastLeaderElection::new(FastLeaderElectionConfig {
                         level_offset: 2,
                         total_phases: 32,
-                    },
+                    }),
                 );
                 let mut sim = Simulator::new(proto, n, seed).unwrap();
                 sim.run_until(
-                    |s| s.states().iter().all(|a| a.election.done),
+                    |s| s.states().iter().all(|a| a.inner.done),
                     (n * 10) as u64,
                     u64::MAX,
                 )

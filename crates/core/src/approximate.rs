@@ -22,70 +22,16 @@ use ppproto::composition::{
     DenseComposition, SyncComposition, SyncCtx, SyncedAgent, SyncedComponent,
 };
 use ppproto::leader_election::{LeaderElection, LeaderState};
-use ppproto::phase_clock::SyncState;
 use ppsim::stint::{AgentCodec, BoxedAgentStint, StintSource};
 use ppsim::{DenseProtocol, PersistState, Protocol, SnapshotReader};
 
 use crate::params::ApproximateParams;
 use crate::search::{search_interact, SearchContext, SearchState};
 
-/// Per-agent state of protocol `Approximate` (Figure 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct ApproximateAgent {
-    /// Junta process + phase clock.
-    pub sync: SyncState,
-    /// Leader-election component (`leader_v`, `leaderDone_v`, …).
-    pub election: LeaderState,
-    /// Search Protocol component (`k_v`, `searchDone_v`).
-    pub search: SearchState,
-}
-
-/// Snapshot codec: fields in declaration order (see [`ppsim::snapshot`]) —
-/// lets [`ppsim::Checkpointable`] snapshot a sequential `Approximate` run.
-impl PersistState for ApproximateAgent {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.sync.persist(out);
-        self.election.persist(out);
-        self.search.persist(out);
-    }
-
-    fn unpersist(r: &mut SnapshotReader<'_>) -> Result<Self, ppsim::SimError> {
-        Ok(ApproximateAgent {
-            sync: SyncState::unpersist(r)?,
-            election: LeaderState::unpersist(r)?,
-            search: SearchState::unpersist(r)?,
-        })
-    }
-}
-
-impl ApproximateAgent {
-    /// The common initial state.
-    #[must_use]
-    pub fn new() -> Self {
-        ApproximateAgent {
-            sync: SyncState::new(),
-            election: LeaderState::new(),
-            search: SearchState::new(),
-        }
-    }
-
-    /// Whether this agent currently considers itself the leader.
-    #[must_use]
-    pub fn is_leader(&self) -> bool {
-        self.election.contender
-    }
-
-    /// The agent's current estimate of `log₂ n`, if the search has concluded and
-    /// the estimate has reached it.
-    #[must_use]
-    pub fn estimate(&self) -> Option<i32> {
-        if self.search.done {
-            Some(self.search.k)
-        } else {
-            None
-        }
-    }
-}
+/// Per-agent state of protocol `Approximate` (Figure 2 of the paper): the
+/// junta process and phase clock in `sync`, the election and the search in
+/// `inner`.
+pub type ApproximateAgent = SyncedAgent<ApproximateCore>;
 
 /// Result of the shared stage-1/2 dispatch, consumed by the broadcasting stage of
 /// the plain protocol or the error-detection stage of the stable variant.
@@ -109,6 +55,25 @@ pub struct ApproximateCore {
     pub election: LeaderState,
     /// Search Protocol component (`k_v`, `searchDone_v`).
     pub search: SearchState,
+}
+
+impl ApproximateCore {
+    /// Whether this agent currently considers itself the leader.
+    #[must_use]
+    pub fn is_leader(&self) -> bool {
+        self.election.contender
+    }
+
+    /// The agent's current estimate of `log₂ n`, if the search has concluded and
+    /// the estimate has reached it.
+    #[must_use]
+    pub fn estimate(&self) -> Option<i32> {
+        if self.search.done {
+            Some(self.search.k)
+        } else {
+            None
+        }
+    }
 }
 
 /// Snapshot codec: fields in declaration order (see [`ppsim::snapshot`]).
@@ -146,17 +111,7 @@ impl ApproximateComponent {
     ) -> bool {
         if !u.election.done {
             // Stage 1: leader election [18].
-            self.election.interact(
-                &mut u.election,
-                &mut v.election,
-                ctx.u_first_tick,
-                ctx.u_phase,
-                ctx.v_phase,
-                ctx.u_level,
-                ctx.v_level,
-                ctx.u_junta,
-                ctx.v_junta,
-            );
+            SyncedComponent::interact(&self.election, &mut u.election, &mut v.election, ctx);
             false
         } else if !u.search.done {
             // Stage 2: the Search Protocol (Algorithm 1).
@@ -197,35 +152,11 @@ impl SyncedComponent for ApproximateComponent {
     }
 
     fn output(&self, state: &ApproximateCore) -> Option<i32> {
-        if state.search.done {
-            Some(state.search.k)
-        } else {
-            None
-        }
+        state.estimate()
     }
 
     fn name(&self) -> &'static str {
         "approximate"
-    }
-}
-
-/// Pack an [`ApproximateAgent`] into the composition layer's agent shape.
-fn pack(agent: &ApproximateAgent) -> SyncedAgent<ApproximateCore> {
-    SyncedAgent {
-        sync: agent.sync,
-        inner: ApproximateCore {
-            election: agent.election,
-            search: agent.search,
-        },
-    }
-}
-
-/// Unpack the composition layer's agent shape back into an [`ApproximateAgent`].
-fn unpack(agent: SyncedAgent<ApproximateCore>) -> ApproximateAgent {
-    ApproximateAgent {
-        sync: agent.sync,
-        election: agent.inner.election,
-        search: agent.inner.search,
     }
 }
 
@@ -242,7 +173,7 @@ fn unpack(agent: SyncedAgent<ApproximateCore>) -> ApproximateAgent {
 /// let protocol = Approximate::new(ApproximateParams::default());
 /// let mut sim = Simulator::new(protocol, n, 7)?;
 /// let outcome = sim.run_until(
-///     |s| s.states().iter().all(|a| a.estimate().is_some()),
+///     |s| s.states().iter().all(|a| a.inner.estimate().is_some()),
 ///     n as u64,
 ///     200_000_000,
 /// );
@@ -294,37 +225,19 @@ impl Approximate {
         initiator: &mut ApproximateAgent,
         responder: &mut ApproximateAgent,
     ) -> StagePass {
-        let mut u = pack(initiator);
-        let mut v = pack(responder);
         // Lines 1–4 of Algorithm 2: re-initialisation, junta process, phase clocks.
-        let ctx = self.composition.preamble(&mut u, &mut v);
-        let stage3 = self
-            .composition
-            .component()
-            .stages_1_2(&mut u.inner, &mut v.inner, &ctx);
-        *initiator = unpack(u);
-        *responder = unpack(v);
+        let ctx = self.composition.preamble(initiator, responder);
+        let stage3 = self.composition.component().stages_1_2(
+            &mut initiator.inner,
+            &mut responder.inner,
+            &ctx,
+        );
         StagePass {
             u_reset: ctx.u_reset,
             v_reset: ctx.v_reset,
             u_first_tick: ctx.u_first_tick,
             stage3,
         }
-    }
-
-    /// Shared per-interaction logic of the w.h.p.-correct protocol.  Returns `true`
-    /// if the initiator's clock or protocol state was re-initialised.
-    pub(crate) fn staged_interact(
-        &self,
-        initiator: &mut ApproximateAgent,
-        responder: &mut ApproximateAgent,
-    ) -> bool {
-        let mut u = pack(initiator);
-        let mut v = pack(responder);
-        let ctx = self.composition.interact_pair(&mut u, &mut v);
-        *initiator = unpack(u);
-        *responder = unpack(v);
-        ctx.u_reset
     }
 }
 
@@ -339,7 +252,7 @@ impl Protocol for Approximate {
     type Output = Option<i32>;
 
     fn initial_state(&self) -> ApproximateAgent {
-        ApproximateAgent::new()
+        self.composition.initial_state()
     }
 
     fn interact(
@@ -348,11 +261,11 @@ impl Protocol for Approximate {
         responder: &mut ApproximateAgent,
         _rng: &mut SmallRng,
     ) {
-        self.staged_interact(initiator, responder);
+        self.composition.interact_pair(initiator, responder);
     }
 
     fn output(&self, state: &ApproximateAgent) -> Option<i32> {
-        state.estimate()
+        state.inner.estimate()
     }
 
     fn name(&self) -> &'static str {
@@ -364,7 +277,7 @@ impl Protocol for Approximate {
 /// has reached everyone).
 #[must_use]
 pub fn all_estimated(states: &[ApproximateAgent]) -> bool {
-    states.iter().all(|a| a.estimate().is_some())
+    states.iter().all(|a| a.inner.estimate().is_some())
 }
 
 /// The valid outputs for a population of size `n`: `⌊log₂ n⌋` and `⌈log₂ n⌉`.
@@ -482,19 +395,14 @@ impl DenseApproximate {
     /// Panics if `index` has not been assigned to any state yet.
     #[must_use]
     pub fn decode(&self, index: usize) -> ApproximateAgent {
-        let agent = self.inner.decode(index);
-        ApproximateAgent {
-            sync: agent.sync,
-            election: agent.inner.election,
-            search: agent.inner.search,
-        }
+        self.inner.decode(index)
     }
 
     /// Encode a per-agent state as its dense index, interning it on first
     /// appearance.
     #[must_use]
     pub fn encode(&self, agent: ApproximateAgent) -> usize {
-        self.inner.encode(pack(&agent))
+        self.inner.encode(agent)
     }
 
     /// How many distinct states have been discovered so far — the empirical
@@ -578,15 +486,15 @@ impl AgentCodec for DenseApproximate {
         *self.inner.base()
     }
 
-    fn decode_agent(&self, index: usize) -> SyncedAgent<ApproximateCore> {
+    fn decode_agent(&self, index: usize) -> ApproximateAgent {
         self.inner.decode(index)
     }
 
-    fn try_decode_agent(&self, index: usize) -> Option<SyncedAgent<ApproximateCore>> {
+    fn try_decode_agent(&self, index: usize) -> Option<ApproximateAgent> {
         self.inner.try_decode_agent(index)
     }
 
-    fn encode_agent(&self, state: &SyncedAgent<ApproximateCore>) -> usize {
+    fn encode_agent(&self, state: &ApproximateAgent) -> usize {
         self.inner.encode(*state)
     }
 }
@@ -598,7 +506,7 @@ pub fn dense_all_estimated(protocol: &DenseApproximate, counts: &[u64]) -> bool 
     counts
         .iter()
         .enumerate()
-        .all(|(s, &c)| c == 0 || protocol.decode(s).estimate().is_some())
+        .all(|(s, &c)| c == 0 || protocol.decode(s).inner.estimate().is_some())
 }
 
 #[cfg(test)]
@@ -615,25 +523,25 @@ mod tests {
 
     #[test]
     fn initial_agent_has_no_estimate_and_is_contender() {
-        let a = ApproximateAgent::new();
-        assert!(a.is_leader());
-        assert_eq!(a.estimate(), None);
+        let a = Approximate::default().initial_state();
+        assert!(a.inner.is_leader());
+        assert_eq!(a.inner.estimate(), None);
     }
 
     #[test]
     fn broadcast_stage_pushes_the_estimate() {
         let proto = Approximate::default();
-        let mut done = ApproximateAgent::new();
+        let mut done = proto.initial_state();
         done.sync.junta.active = false;
-        done.election.done = true;
-        done.search.done = true;
-        done.search.k = 9;
-        let mut fresh = ApproximateAgent::new();
+        done.inner.election.done = true;
+        done.inner.search.done = true;
+        done.inner.search.k = 9;
+        let mut fresh = proto.initial_state();
         fresh.sync.junta.active = false;
-        fresh.election.done = true;
+        fresh.inner.election.done = true;
         let mut rng = ppsim::seeded_rng(0);
         proto.interact(&mut done, &mut fresh, &mut rng);
-        assert_eq!(fresh.estimate(), Some(9));
+        assert_eq!(fresh.inner.estimate(), Some(9));
     }
 
     #[test]
@@ -664,7 +572,21 @@ mod tests {
         let mut sim = Simulator::new(proto, n, 77).unwrap();
         let outcome = sim.run_until(|s| all_estimated(s.states()), (n * 50) as u64, 60_000_000);
         assert!(outcome.converged());
-        let leaders = sim.states().iter().filter(|a| a.is_leader()).count();
+        let leaders = sim.states().iter().filter(|a| a.inner.is_leader()).count();
         assert_eq!(leaders, 1);
+    }
+
+    /// The native trajectory at `n = 500`, seed 7: when it converges and the
+    /// bytes of its final snapshot.
+    #[test]
+    fn native_trajectory_is_pinned() {
+        use ppsim::Checkpointable;
+        let n = 500usize;
+        let mut sim = Simulator::new(Approximate::default(), n, 7).unwrap();
+        let outcome = sim.run_until(|s| all_estimated(s.states()), (20 * n) as u64, 80_000_000);
+        assert_eq!(outcome.interactions(), Some(4_590_000));
+        let bytes = sim.save_state().to_bytes();
+        assert_eq!(bytes.len(), 13_069);
+        assert_eq!(crate::fnv1a(&bytes), 0xb185_e490_3fa8_b190);
     }
 }

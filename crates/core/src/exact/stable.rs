@@ -113,19 +113,19 @@ impl Protocol for StableCountExact {
         // check is performed before the fast protocol acts so that the offending
         // multiplication is flagged in the same interaction.
         let u = &initiator.fast;
-        if u.stage.apx_done
-            && !u.stage.multiplied
+        if u.inner.stage.apx_done
+            && !u.inner.stage.multiplied
             && u.sync.clock.first_tick
-            && u.sync.clock.phase.saturating_sub(u.stage.start_phase) == 2
-            && u.stage.l < MIN_REFINEMENT_LOAD
+            && u.sync.clock.phase.saturating_sub(u.inner.stage.start_phase) == 2
+            && u.inner.stage.l < MIN_REFINEMENT_LOAD
         {
             initiator.error = true;
         }
 
         // Error source 4: refinement-stage agents holding different approximations.
-        if initiator.fast.stage.apx_done
-            && responder.fast.stage.apx_done
-            && initiator.fast.stage.k != responder.fast.stage.k
+        if initiator.fast.inner.stage.apx_done
+            && responder.fast.inner.stage.apx_done
+            && initiator.fast.inner.stage.k != responder.fast.inner.stage.k
         {
             initiator.error = true;
             responder.error = true;
@@ -133,21 +133,22 @@ impl Protocol for StableCountExact {
 
         // The fast protocol (Algorithm 3) itself.
         self.fast
-            .staged_interact(&mut initiator.fast, &mut responder.fast);
+            .composition()
+            .interact_pair(&mut initiator.fast, &mut responder.fast);
 
         // Error source 1: two finished leaders meet.
-        if initiator.fast.election.done
-            && responder.fast.election.done
-            && initiator.fast.election.contender
-            && responder.fast.election.contender
+        if initiator.fast.inner.election.done
+            && responder.fast.inner.election.done
+            && initiator.fast.inner.election.contender
+            && responder.fast.inner.election.contender
         {
             initiator.error = true;
             responder.error = true;
         }
 
         // Error source 2: phase counters drifted apart (both past leader election).
-        if initiator.fast.election.done
-            && responder.fast.election.done
+        if initiator.fast.inner.election.done
+            && responder.fast.inner.election.done
             && initiator
                 .fast
                 .sync
@@ -194,10 +195,10 @@ mod tests {
         a.backup.count = 7;
         assert_eq!(proto.agent_output(&a), 7, "no fast result yet");
 
-        a.fast.stage.apx_done = true;
-        a.fast.stage.multiplied = true;
-        a.fast.stage.k = 10;
-        a.fast.stage.l = 256 * (1 << 20) / 1000;
+        a.fast.inner.stage.apx_done = true;
+        a.fast.inner.stage.multiplied = true;
+        a.fast.inner.stage.k = 10;
+        a.fast.inner.stage.l = 256 * (1 << 20) / 1000;
         let fast = proto.fast().agent_output(&a.fast).unwrap();
         assert_eq!(proto.agent_output(&a), fast);
 
@@ -213,12 +214,12 @@ mod tests {
         let mut v = StableCountExactAgent::new();
         for agent in [&mut u, &mut v] {
             agent.fast.sync.junta.active = false;
-            agent.fast.election.done = true;
-            agent.fast.election.contender = false;
-            agent.fast.stage.apx_done = true;
+            agent.fast.inner.election.done = true;
+            agent.fast.inner.election.contender = false;
+            agent.fast.inner.stage.apx_done = true;
         }
-        u.fast.stage.k = 9;
-        v.fast.stage.k = 11;
+        u.fast.inner.stage.k = 9;
+        v.fast.inner.stage.k = 11;
         proto.interact(&mut u, &mut v, &mut rng);
         assert!(u.error && v.error);
     }

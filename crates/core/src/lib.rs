@@ -51,9 +51,13 @@
 //! ```
 //!
 //! Concretely: [`Approximate`] = `SyncComposition<`[`ApproximateComponent`]`>`
-//! over per-agent state [`ApproximateAgent`] `= (SyncState, LeaderState,
-//! SearchState)`; [`CountExact`] = `SyncComposition<`[`CountExactComponent`]`>`
-//! over [`CountExactAgent`] `= (SyncState, FastLeaderState, ExactStageState)`.
+//! over per-agent state [`ApproximateAgent`] `= SyncedAgent<`[`ApproximateCore`]`>`,
+//! where the core is `(LeaderState, SearchState)`; [`CountExact`] =
+//! `SyncComposition<`[`CountExactComponent`]`>` over [`CountExactAgent`] `=
+//! SyncedAgent<`[`CountExactCore`]`>`, where the core is `(FastLeaderState,
+//! ExactStageState)`.  The `SyncedAgent`'s `sync` field holds the `SyncState`
+//! of lines 1–4, its `inner` field the core; every engine steps this one
+//! layout.
 //! The stable variants ([`StableApproximate`], [`StableCountExact`]) reuse the
 //! same base and stages 1–2, swapping stage 3 for error detection
 //! (Algorithms 6/7, Appendix F) with the Appendix C backups running alongside.
@@ -127,6 +131,15 @@ pub mod error_detection;
 pub mod exact;
 pub mod params;
 pub mod search;
+
+/// FNV-1a over a byte string: the digest the trajectory pins compare
+/// snapshot bytes with.
+#[cfg(test)]
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |digest, &byte| {
+        (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 pub use approximate::{
     all_estimated, dense_all_estimated, valid_estimates, Approximate, ApproximateAgent,

@@ -7,7 +7,7 @@ use popcount::backup::{
 };
 use popcount::exact::refinement_stage::refinement_output;
 use popcount::search::{search_interact, SearchContext, SearchState};
-use popcount::{CountExactParams, ExactStageState};
+use popcount::{ApproximateParams, CountExactParams, ExactStageState};
 
 fn search_state() -> impl Strategy<Value = SearchState> {
     (-1i32..20, any::<bool>()).prop_map(|(k, done)| SearchState { k, done })
@@ -145,6 +145,7 @@ proptest! {
     /// resuming it from the serialized snapshot reproduces the
     /// uninterrupted trajectory bit for bit — the full composed protocol
     /// (junta + clock + election + stages) round-trips through the codec.
+    /// A sequential `Approximate` run on the same inputs must do the same.
     #[test]
     fn count_exact_saved_at_a_random_budget_resumes_bit_identically(
         n in 8usize..120,
@@ -154,6 +155,13 @@ proptest! {
     ) {
         let verdict = ppsim::faultsim::kill_and_resume(
             || ppsim::Simulator::new(popcount::CountExact::new(CountExactParams::default()), n, seed),
+            |s, b| s.run(b),
+            &[kill_at, rest],
+            1,
+        ).unwrap();
+        prop_assert!(verdict.bit_identical());
+        let verdict = ppsim::faultsim::kill_and_resume(
+            || ppsim::Simulator::new(popcount::Approximate::new(ApproximateParams::default()), n, seed),
             |s, b| s.run(b),
             &[kill_at, rest],
             1,

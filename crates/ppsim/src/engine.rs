@@ -41,8 +41,9 @@ use rand::rngs::SmallRng;
 
 /// Population size below which the sequential engine out-runs the batched
 /// one: per-interaction cost beats per-block overhead while blocks are short
-/// (`BENCH_batched.json` measures batched at 0.56× sequential at `n = 10³`
-/// and 2.9× at `n = 10⁴`; the crossing sits near 3·10³).
+/// (`BENCH_batched.json` measures batched at 0.99× sequential at `n = 10³`
+/// and 5.17× at `n = 10⁴` on the epidemic; the constant sits between the
+/// two).
 pub const SEQUENTIAL_CROSSOVER: usize = 3_000;
 
 /// Which simulation engine to run a dense protocol on.
@@ -566,7 +567,7 @@ mod tests {
     #[test]
     fn auto_picks_sequential_below_the_crossover_and_batched_above() {
         // Pins the measured heuristic: BENCH_batched.json has batched at
-        // 0.56× sequential at n = 10³ and 2.9× at n = 10⁴.
+        // 0.99× sequential at n = 10³ and 5.17× at n = 10⁴.
         assert_eq!(Engine::Auto.resolve(1_000), Engine::Sequential);
         assert_eq!(
             Engine::Auto.resolve(SEQUENTIAL_CROSSOVER - 1),

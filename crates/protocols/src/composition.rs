@@ -25,7 +25,14 @@
 //!
 //! [`SyncComposition`] drives a [`SyncedComponent`] on per-agent
 //! [`SyncedAgent`] states and implements [`Protocol`] for the sequential
-//! engine.  [`DenseComposition`] runs the *same* transition system on the
+//! engine.  Every protocol that runs a component below lines 1–4 steps its
+//! agents: the native counting protocols do so directly, and the standalone
+//! elections of experiments E04/E05
+//! ([`LeaderElectionProtocol`](crate::LeaderElectionProtocol),
+//! [`FastLeaderElectionProtocol`](crate::FastLeaderElectionProtocol)) are
+//! this composition over the election alone.
+//!
+//! [`DenseComposition`] runs the *same* transition system on the
 //! count-based engines by interning the `(SyncState, component)` pairs into
 //! dense indices on first appearance ([`ppsim::StateInterner`]) — an exact
 //! bisimulation of the sequential protocol, because the transition applied to

@@ -17,11 +17,9 @@
 //! There is always at least one contender (the maximum-value holder never drops
 //! out); w.h.p. exactly one remains when `leaderDone` is raised.
 
-use rand::rngs::SmallRng;
+use ppsim::{PersistState, SimError, SnapshotReader};
 
-use ppsim::{PersistState, Protocol, SimError, SnapshotReader};
-
-use crate::phase_clock::{sync_interact, PhaseClock, SyncState};
+use crate::composition::{SyncComposition, SyncCtx, SyncedAgent, SyncedComponent};
 use crate::synthetic_coin::{coin_interact, CoinState};
 
 /// Tunable constants of `FastLeaderElection`.
@@ -217,89 +215,55 @@ impl Default for FastLeaderElection {
     }
 }
 
-/// Per-agent state of the standalone [`FastLeaderElectionProtocol`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct FastLeaderAgent {
-    /// Junta + phase clock.
-    pub sync: SyncState,
-    /// The election component state.
-    pub election: FastLeaderState,
-}
-
-/// Standalone fast leader-election protocol (junta + clock + Algorithm 8), used to
-/// validate Lemma 7 in isolation (experiment E05).
-///
-/// The output of an agent is `true` iff it currently considers itself a contender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastLeaderElectionProtocol {
-    clock: PhaseClock,
-    election: FastLeaderElection,
-}
-
-impl FastLeaderElectionProtocol {
-    /// Create the protocol with a phase clock of `hours` positions.
-    #[must_use]
-    pub fn new(hours: u8, config: FastLeaderElectionConfig) -> Self {
-        FastLeaderElectionProtocol {
-            clock: PhaseClock::new(hours),
-            election: FastLeaderElection::new(config),
-        }
-    }
-}
-
-impl Default for FastLeaderElectionProtocol {
-    fn default() -> Self {
-        Self::new(
-            PhaseClock::DEFAULT_HOURS,
-            FastLeaderElectionConfig::default(),
-        )
-    }
-}
-
-impl Protocol for FastLeaderElectionProtocol {
-    type State = FastLeaderAgent;
+/// The election as a [`SyncedComponent`]: [`SyncComposition`] runs it below
+/// the junta process and the phase clock, which is the standalone
+/// [`FastLeaderElectionProtocol`].
+impl SyncedComponent for FastLeaderElection {
+    type State = FastLeaderState;
     type Output = bool;
 
-    fn initial_state(&self) -> FastLeaderAgent {
-        FastLeaderAgent::default()
+    fn initial_state(&self) -> FastLeaderState {
+        FastLeaderState::new()
     }
 
-    fn interact(
-        &self,
-        initiator: &mut FastLeaderAgent,
-        responder: &mut FastLeaderAgent,
-        _rng: &mut SmallRng,
-    ) {
-        let outcome = sync_interact(&self.clock, &mut initiator.sync, &mut responder.sync);
-        if outcome.u_reset {
-            initiator.election.reset();
-        }
-        if outcome.v_reset {
-            responder.election.reset();
-        }
-        if !initiator.election.done {
-            let u_first_tick = initiator.sync.clock.first_tick;
-            self.election.interact(
-                &mut initiator.election,
-                &mut responder.election,
-                u_first_tick,
-                initiator.sync.clock.phase,
-                responder.sync.clock.phase,
-                initiator.sync.junta.level,
-                responder.sync.junta.level,
+    fn reset(&self, state: &mut FastLeaderState) {
+        state.reset();
+    }
+
+    fn interact(&self, u: &mut FastLeaderState, v: &mut FastLeaderState, ctx: &SyncCtx) {
+        if !u.done {
+            FastLeaderElection::interact(
+                self,
+                u,
+                v,
+                ctx.u_first_tick,
+                ctx.u_phase,
+                ctx.v_phase,
+                ctx.u_level,
+                ctx.v_level,
             );
         }
-        initiator.sync.clock.first_tick = false;
     }
 
-    fn output(&self, state: &FastLeaderAgent) -> bool {
-        state.election.contender
+    /// `true` iff the agent currently considers itself a contender.
+    fn output(&self, state: &FastLeaderState) -> bool {
+        state.contender
     }
 
     fn name(&self) -> &'static str {
         "fast-leader-election"
     }
 }
+
+/// Standalone fast leader-election protocol (junta + clock + Algorithm 8), used to
+/// validate Lemma 7 in isolation (experiment E05).  Built as
+/// `SyncComposition::new(hours, FastLeaderElection::new(config))` over a phase
+/// clock of `hours` positions.
+pub type FastLeaderElectionProtocol = SyncComposition<FastLeaderElection>;
+
+/// Per-agent state of the standalone [`FastLeaderElectionProtocol`]: junta +
+/// phase clock in `sync`, the election component state in `inner`.
+pub type FastLeaderAgent = SyncedAgent<FastLeaderState>;
 
 /// Snapshot codec: fields in declaration order (see [`ppsim::snapshot`]).
 impl PersistState for FastLeaderState {
@@ -327,6 +291,7 @@ impl PersistState for FastLeaderState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase_clock::PhaseClock;
     use ppsim::Simulator;
 
     #[test]
@@ -450,32 +415,54 @@ mod tests {
     #[test]
     fn fast_election_produces_a_unique_leader() {
         let n = 800usize;
-        let proto = FastLeaderElectionProtocol::new(
+        let proto = SyncComposition::new(
             16,
-            FastLeaderElectionConfig {
+            FastLeaderElection::new(FastLeaderElectionConfig {
                 level_offset: 2,
                 total_phases: 32,
-            },
+            }),
         );
         let mut sim = Simulator::new(proto, n, 2024).unwrap();
         let outcome = sim.run_until(
-            |s| s.states().iter().all(|a| a.election.done),
+            |s| s.states().iter().all(|a| a.inner.done),
             (n * 10) as u64,
             80_000_000,
         );
         assert!(outcome.converged(), "fast leader election did not finish");
-        let leaders = sim.states().iter().filter(|a| a.election.contender).count();
+        let leaders = sim.states().iter().filter(|a| a.inner.contender).count();
         assert_eq!(leaders, 1, "expected a unique leader, found {leaders}");
     }
 
     #[test]
     fn there_is_always_at_least_one_contender() {
         let n = 300usize;
-        let proto = FastLeaderElectionProtocol::default();
+        let proto = SyncComposition::new(PhaseClock::DEFAULT_HOURS, FastLeaderElection::default());
         let mut sim = Simulator::new(proto, n, 31).unwrap();
         for _ in 0..60 {
             sim.run(20_000);
-            assert!(sim.states().iter().any(|a| a.election.contender));
+            assert!(sim.states().iter().any(|a| a.inner.contender));
         }
+    }
+
+    /// The standalone trajectory at `n = 256`, seed 7: when every agent is
+    /// done, and the one contender left.
+    #[test]
+    fn standalone_trajectory_is_pinned() {
+        let n = 256usize;
+        let proto = SyncComposition::new(
+            16,
+            FastLeaderElection::new(FastLeaderElectionConfig {
+                level_offset: 2,
+                total_phases: 32,
+            }),
+        );
+        let mut sim = Simulator::new(proto, n, 7).unwrap();
+        let outcome = sim.run_until(
+            |s| s.states().iter().all(|a| a.inner.done),
+            (n * 10) as u64,
+            80_000_000,
+        );
+        assert_eq!(outcome.interactions(), Some(168_960));
+        assert_eq!(sim.states().iter().filter(|a| a.inner.contender).count(), 1);
     }
 }

@@ -17,15 +17,15 @@
 //!
 //! This module implements the election as a **component** ([`LeaderElection`] +
 //! [`LeaderState`]) that a composed protocol drives with its own junta/phase-clock
-//! information (this is how `popcount::Approximate` uses it), plus a standalone
-//! [`LeaderElectionProtocol`] that bundles the synchronisation base for validating
-//! Lemma 6 in isolation (experiment E04).
+//! information (this is how `popcount::Approximate` uses it).  The same component
+//! under the shared synchronisation base ([`SyncComposition`]) is the standalone
+//! [`LeaderElectionProtocol`], which validates Lemma 6 in isolation (experiment
+//! E04).
 
-use rand::rngs::SmallRng;
+use ppsim::{PersistState, SimError, SnapshotReader};
 
-use ppsim::{PersistState, Protocol, SimError, SnapshotReader};
-
-use crate::phase_clock::{sync_interact, PhaseClock, PhaseClockState, SyncState};
+use crate::composition::{SyncComposition, SyncCtx, SyncedAgent, SyncedComponent};
+use crate::phase_clock::{PhaseClock, PhaseClockState};
 use crate::synthetic_coin::{coin_interact, CoinState};
 
 /// Tunable constants of the leader-election component.
@@ -200,93 +200,58 @@ pub fn contender_count(states: &[LeaderState]) -> usize {
     states.iter().filter(|s| s.contender).count()
 }
 
-/// Per-agent state of the standalone [`LeaderElectionProtocol`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct LeaderElectionAgent {
-    /// Junta + inner phase clock.
-    pub sync: SyncState,
-    /// The election component state.
-    pub election: LeaderState,
-}
-
-/// Standalone leader-election protocol (junta + inner clock + election component),
-/// used to validate Lemma 6 in isolation (experiment E04).
-///
-/// The output of an agent is `true` iff it currently considers itself a leader
-/// contender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaderElectionProtocol {
-    inner_clock: PhaseClock,
-    election: LeaderElection,
-}
-
-impl LeaderElectionProtocol {
-    /// Create the protocol.
-    ///
-    /// `inner_hours` is the number of hours of the inner phase clock (the paper's
-    /// `m`); the election configuration provides the outer clock length.
-    #[must_use]
-    pub fn new(inner_hours: u8, config: LeaderElectionConfig) -> Self {
-        LeaderElectionProtocol {
-            inner_clock: PhaseClock::new(inner_hours),
-            election: LeaderElection::new(config),
-        }
-    }
-}
-
-impl Default for LeaderElectionProtocol {
-    fn default() -> Self {
-        Self::new(24, LeaderElectionConfig::default())
-    }
-}
-
-impl Protocol for LeaderElectionProtocol {
-    type State = LeaderElectionAgent;
+/// The election as a [`SyncedComponent`]: [`SyncComposition`] runs it below
+/// the junta process and the inner phase clock, which is the standalone
+/// [`LeaderElectionProtocol`].
+impl SyncedComponent for LeaderElection {
+    type State = LeaderState;
     type Output = bool;
 
-    fn initial_state(&self) -> LeaderElectionAgent {
-        LeaderElectionAgent::default()
+    fn initial_state(&self) -> LeaderState {
+        LeaderState::new()
     }
 
-    fn interact(
-        &self,
-        initiator: &mut LeaderElectionAgent,
-        responder: &mut LeaderElectionAgent,
-        _rng: &mut SmallRng,
-    ) {
-        let outcome = sync_interact(&self.inner_clock, &mut initiator.sync, &mut responder.sync);
-        if outcome.u_reset {
-            initiator.election.reset();
-        }
-        if outcome.v_reset {
-            responder.election.reset();
-        }
-        if !initiator.election.done {
-            let u_first_tick = initiator.sync.clock.first_tick;
-            self.election.interact(
-                &mut initiator.election,
-                &mut responder.election,
-                u_first_tick,
-                initiator.sync.clock.phase,
-                responder.sync.clock.phase,
-                initiator.sync.junta.level,
-                responder.sync.junta.level,
-                initiator.sync.junta.junta,
-                responder.sync.junta.junta,
+    fn reset(&self, state: &mut LeaderState) {
+        state.reset();
+    }
+
+    fn interact(&self, u: &mut LeaderState, v: &mut LeaderState, ctx: &SyncCtx) {
+        if !u.done {
+            LeaderElection::interact(
+                self,
+                u,
+                v,
+                ctx.u_first_tick,
+                ctx.u_phase,
+                ctx.v_phase,
+                ctx.u_level,
+                ctx.v_level,
+                ctx.u_junta,
+                ctx.v_junta,
             );
         }
-        // The initiator consumes its firstTick flag when it initiates.
-        initiator.sync.clock.first_tick = false;
     }
 
-    fn output(&self, state: &LeaderElectionAgent) -> bool {
-        state.election.contender
+    /// `true` iff the agent currently considers itself a leader contender.
+    fn output(&self, state: &LeaderState) -> bool {
+        state.contender
     }
 
     fn name(&self) -> &'static str {
         "leader-election"
     }
 }
+
+/// Standalone leader-election protocol (junta + inner clock + election component),
+/// used to validate Lemma 6 in isolation (experiment E04).  Built as
+/// `SyncComposition::new(inner_hours, LeaderElection::new(config))`: `inner_hours`
+/// is the number of hours of the inner phase clock (the paper's `m`); the election
+/// configuration provides the outer clock length.
+pub type LeaderElectionProtocol = SyncComposition<LeaderElection>;
+
+/// Per-agent state of the standalone [`LeaderElectionProtocol`]: junta + inner
+/// phase clock in `sync`, the election component state in `inner`.
+pub type LeaderElectionAgent = SyncedAgent<LeaderState>;
 
 /// Snapshot codec: fields in declaration order (see [`ppsim::snapshot`]).
 impl PersistState for LeaderState {
@@ -413,28 +378,50 @@ mod tests {
     #[test]
     fn election_produces_a_unique_leader_and_all_agents_finish() {
         let n = 600usize;
-        let proto = LeaderElectionProtocol::new(16, LeaderElectionConfig { outer_hours: 32 });
+        let proto = SyncComposition::new(
+            16,
+            LeaderElection::new(LeaderElectionConfig { outer_hours: 32 }),
+        );
         let mut sim = Simulator::new(proto, n, 4242).unwrap();
         let budget = 80_000_000u64;
         let outcome = sim.run_until(
-            |s| s.states().iter().all(|a| a.election.done),
+            |s| s.states().iter().all(|a| a.inner.done),
             (n * 10) as u64,
             budget,
         );
         assert!(outcome.converged(), "leader election did not finish");
-        let leaders = sim.states().iter().filter(|a| a.election.contender).count();
+        let leaders = sim.states().iter().filter(|a| a.inner.contender).count();
         assert_eq!(leaders, 1, "expected a unique leader, found {leaders}");
     }
 
     #[test]
     fn there_is_always_at_least_one_contender() {
         let n = 200usize;
-        let proto = LeaderElectionProtocol::new(16, LeaderElectionConfig::default());
+        let proto = SyncComposition::new(16, LeaderElection::default());
         let mut sim = Simulator::new(proto, n, 9).unwrap();
         for _ in 0..100 {
             sim.run(20_000);
-            let contenders = sim.states().iter().filter(|a| a.election.contender).count();
+            let contenders = sim.states().iter().filter(|a| a.inner.contender).count();
             assert!(contenders >= 1, "the contender set must never become empty");
         }
+    }
+
+    /// The standalone trajectory at `n = 256`, seed 7: when every agent is
+    /// done, and the one contender left.
+    #[test]
+    fn standalone_trajectory_is_pinned() {
+        let n = 256usize;
+        let proto = SyncComposition::new(
+            16,
+            LeaderElection::new(LeaderElectionConfig { outer_hours: 32 }),
+        );
+        let mut sim = Simulator::new(proto, n, 7).unwrap();
+        let outcome = sim.run_until(
+            |s| s.states().iter().all(|a| a.inner.done),
+            (n * 10) as u64,
+            80_000_000,
+        );
+        assert_eq!(outcome.interactions(), Some(197_120));
+        assert_eq!(sim.states().iter().filter(|a| a.inner.contender).count(), 1);
     }
 }
