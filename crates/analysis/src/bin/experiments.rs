@@ -48,19 +48,24 @@
 //! so their recovery-time distributions must agree).
 //!
 //! ```text
-//! experiments --adversarial-resume-n 20000 --seed 7 --budget 800000        # reference
+//! experiments --adversarial-resume-n 20000 --seed 7 --budget 800000 \
+//!     --checkpoint-every 50000                                              # reference
 //! experiments --adversarial-resume-n 20000 --seed 7 --budget 800000 \
 //!     --checkpoint adv.ppss --checkpoint-every 50000                        # kill this one
 //! experiments --adversarial-resume-n 20000 --seed 7 --budget 800000 \
-//!     --resume adv.ppss                                                     # after SIGKILL
+//!     --checkpoint-every 50000 --resume adv.ppss                            # after SIGKILL
 //! ```
 //!
 //! Runs one epidemic under a three-event fault plan (corrupt, silence
 //! window, corrupt), autosaving the full [`AdversarialRun`] snapshot —
 //! fault cursor, plan RNG, recovery records and all — every
-//! `--checkpoint-every` logical interactions.  Killing the checkpointing
-//! run mid-plan and resuming replays the identical fault sequence: all
-//! three invocations print the same final line.
+//! `--checkpoint-every` logical interactions (default: a sixteenth of the
+//! budget).  The run advances in chunks of that size and the batched
+//! engine's blocks end at chunk boundaries, so the three invocations must
+//! pass the same `--checkpoint-every`.  Killing the checkpointing run
+//! mid-plan and resuming then replays the identical trajectory: all three
+//! print the same final line, whose digest is FNV-1a of the final
+//! snapshot bytes.
 //!
 //! # The scenario-matrix conformance gate
 //!
@@ -328,10 +333,10 @@ fn adversarial_resume_main(args: &[String], n: usize) -> ! {
             .unwrap_or_else(|e| fail("restore", e));
     }
 
-    // Chunked advance with autosave.  The trajectory is a pure function of
-    // the total budget — chunk boundaries never change it (deterministic
-    // replay), so reference, killed, and resumed runs all print the same
-    // final line.
+    // Chunked advance with autosave.  The batched engine's blocks end at
+    // chunk boundaries, so the trajectory is a function of the budget *and*
+    // `--checkpoint-every`: reference, killed and resumed runs that pass the
+    // same value replay the same trajectory and print the same final line.
     while run.interactions() < budget {
         let chunk = every.min(budget - run.interactions());
         run.run(chunk).unwrap_or_else(|e| fail("run", e));
@@ -341,13 +346,16 @@ fn adversarial_resume_main(args: &[String], n: usize) -> ! {
         }
     }
 
-    // FNV-1a over the final counts: a trajectory digest runs can `diff`.
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for count in run.inner().counts() {
-        for byte in count.to_le_bytes() {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
+    // FNV-1a over the final snapshot bytes — counts, engine RNG, fault
+    // cursor and recovery records — so two runs that diverged print
+    // different digests even when both reconverged to the same counts.
+    let digest = run
+        .save_state()
+        .to_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |digest, &byte| {
+            (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
     println!(
         "adversarial n={n} seed={seed}: interactions={} events_fired={} digest={digest:016x}",
         run.interactions(),

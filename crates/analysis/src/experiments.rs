@@ -1207,7 +1207,7 @@ pub fn e19_dense_counting(effort: Effort) -> ExperimentReport {
     let run_approximate = |engine: Engine, n: usize, master: u64, trials: usize| {
         sweep_serial_maybe_checkpointed("e19-approximate", &[n], trials, master, |n, seed| {
             let start = Instant::now();
-            let proto = DenseApproximate::new(ApproximateParams::default());
+            let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
             let handle = proto.clone(); // shares the interner: reads the state census
             let mut sim = DenseSimulator::new(engine, proto, n, seed).unwrap();
             let (floor, ceil) = valid_estimates(n);
@@ -1481,7 +1481,7 @@ pub fn e20_hybrid_counting(effort: Effort) -> ExperimentReport {
     let run_approximate = |n: usize, master: u64| -> RichOutcome {
         run_rich(n, master, &|n, seed| {
             let start = Instant::now();
-            let proto = DenseApproximate::new(ApproximateParams::default());
+            let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
             let handle = proto.clone();
             let mut sim = ppsim::HybridSimulator::new(proto, n, seed).unwrap();
             let (floor, ceil) = valid_estimates(n);

@@ -117,7 +117,7 @@ fn bench_dense_counting(c: &mut Criterion) {
     group.sample_size(5);
     group.bench_with_input(BenchmarkId::new("approximate_batched", n), &n, |b, &n| {
         b.iter(|| {
-            let proto = DenseApproximate::new(ApproximateParams::default());
+            let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
             let mut sim = BatchedSimulator::new(proto, n, 1).unwrap();
             sim.run(budget);
             sim.interactions()
@@ -125,7 +125,10 @@ fn bench_dense_counting(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("count_exact_batched", n), &n, |b, &n| {
         b.iter(|| {
-            let proto = DenseCountExact::new(CountExactParams::dense_at_scale(n));
+            let proto = DenseCountExact::with_capacity(
+                CountExactParams::dense_at_scale(n),
+                CountExactParams::dense_capacity(n),
+            );
             let mut sim = BatchedSimulator::new(proto, n, 1).unwrap();
             sim.run(budget);
             sim.interactions()

@@ -152,7 +152,7 @@ fn time_engine(workload: Workload, engine: Engine, n: usize, seed: u64) -> Timed
         }
         Workload::Approximate => {
             let start = Instant::now();
-            let proto = DenseApproximate::new(ApproximateParams::default());
+            let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
             let mut sim = DenseSimulator::new(engine, proto, n, seed)
                 .expect("engine construction must succeed");
             // Stop at the first unanimous output (the stable configuration);

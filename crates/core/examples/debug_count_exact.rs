@@ -25,7 +25,10 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(12);
-    let proto = DenseCountExact::new(CountExactParams::dense_at_scale(n));
+    let proto = DenseCountExact::with_capacity(
+        CountExactParams::dense_at_scale(n),
+        CountExactParams::dense_capacity(n),
+    );
     let mut sim = DenseSimulator::new(Engine::Auto, proto.clone(), n, seed).unwrap();
     eprintln!(
         "engine = {} (Engine::Auto at n = {n}), capacity = {} dense states",

@@ -22,8 +22,7 @@ use ppproto::composition::{
     DenseComposition, SyncComposition, SyncCtx, SyncedAgent, SyncedComponent,
 };
 use ppproto::leader_election::{LeaderElection, LeaderState};
-use ppsim::stint::{AgentCodec, BoxedAgentStint, StintSource};
-use ppsim::{DenseProtocol, PersistState, Protocol, SnapshotReader};
+use ppsim::{PersistState, Protocol, SnapshotReader};
 
 use crate::params::ApproximateParams;
 use crate::search::{search_interact, SearchContext, SearchState};
@@ -287,14 +286,20 @@ pub fn valid_estimates(n: usize) -> (i32, i32) {
     (log.floor() as i32, log.ceil() as i32)
 }
 
-/// Protocol `Approximate` on an interned dense state space, for the batched
-/// and sharded count-based engines.
+/// Protocol `Approximate` on an interned dense state space, for the
+/// count-based engines: the [`DenseComposition`] of the same
+/// [`SyncComposition`] value [`Approximate::new`] builds.
 ///
 /// This is an **exact encoding** of [`Approximate`]: every dense transition
-/// decodes the two agents, applies the identical composed interaction (the
-/// same [`SyncComposition`] value [`Approximate::new`] builds), and re-encodes
-/// — so both forms simulate the same stochastic process and differ only in
-/// how the engines sample the schedule.
+/// decodes the two agents, applies the identical composed interaction, and
+/// re-encodes — so both forms simulate the same stochastic process and
+/// differ only in how the engines sample the schedule.  Build it with
+/// `DenseApproximate::with_capacity(params, capacity)`
+/// ([`DenseComposition::with_capacity`], which takes the parameters through
+/// `From<ApproximateParams>`).  Per-agent stints of the hybrid engine step
+/// native [`ApproximateAgent`] structs through the composition's
+/// [`AgentCodec`](ppsim::stint::AgentCodec) and consult the interner only
+/// at migration boundaries.
 ///
 /// # State-space accounting (the bound on `q`)
 ///
@@ -304,9 +309,10 @@ pub fn valid_estimates(n: usize) -> (i32, i32) {
 /// `O(log n)` phases of a run contributes its own copies.  The distinct
 /// states a run visits are therefore `O(log² n · log log n)` — tens of
 /// thousands at `n = 10⁸` — which is what the interner actually allocates
-/// indices for.  [`DenseApproximate::DEFAULT_CAPACITY`] (2²⁰) leaves several
-/// times that headroom; [`Self::states_discovered`] reports the realised
-/// count (experiment E19 tabulates it).
+/// indices for.  A capacity of 2²⁰ leaves several times that headroom (a
+/// converged `n = 10⁶` run interns ≈ 2·10⁵ states);
+/// [`DenseComposition::states_discovered`] reports the realised count
+/// (experiment E19 tabulates it).
 ///
 /// # Examples
 ///
@@ -316,7 +322,7 @@ pub fn valid_estimates(n: usize) -> (i32, i32) {
 ///
 /// # fn main() -> Result<(), ppsim::SimError> {
 /// let n = 1_000_000;
-/// let proto = DenseApproximate::new(ApproximateParams::default());
+/// let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
 /// let mut sim = DenseSimulator::new(Engine::Auto, proto, n, 7)?;
 /// let outcome = sim.run_until(
 ///     |s| matches!(s.output_stats().unanimous(), Some(Some(k)) if (19..=20).contains(k)),
@@ -327,175 +333,33 @@ pub fn valid_estimates(n: usize) -> (i32, i32) {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct DenseApproximate {
-    inner: DenseComposition<ApproximateComponent>,
-    params: ApproximateParams,
-}
+///
+/// A run discovers states as the junta race and the clocks unfold; clones
+/// share the interner, so the census is visible through any of them:
+///
+/// ```rust
+/// use popcount::{ApproximateParams, DenseApproximate};
+/// use ppsim::{BatchedSimulator, DenseProtocol};
+///
+/// # fn main() -> Result<(), ppsim::SimError> {
+/// let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
+/// assert_eq!(proto.states_discovered(), 1); // only the initial state so far
+///
+/// let mut sim = BatchedSimulator::new(proto.clone(), 10_000, 7)?;
+/// sim.run(50_000);
+/// assert!(proto.states_discovered() > 10);
+/// assert!(proto.states_discovered() <= proto.num_states());
+/// # Ok(())
+/// # }
+/// ```
+pub type DenseApproximate = DenseComposition<ApproximateComponent>;
 
-impl DenseApproximate {
-    /// Default interner capacity: comfortably above the distinct states any
-    /// simulable `Approximate` run visits (see the type-level accounting; a
-    /// converged `n = 10⁶` run interns ≈ 2·10⁵ states).
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// Create the dense protocol with the default state capacity.
-    ///
-    /// # Examples
-    ///
-    /// ```rust
-    /// use popcount::{ApproximateParams, DenseApproximate};
-    /// use ppsim::{BatchedSimulator, DenseProtocol};
-    ///
-    /// # fn main() -> Result<(), ppsim::SimError> {
-    /// let proto = DenseApproximate::new(ApproximateParams::default());
-    /// assert_eq!(proto.states_discovered(), 1); // only the initial state so far
-    ///
-    /// let mut sim = BatchedSimulator::new(proto.clone(), 10_000, 7)?;
-    /// sim.run(50_000);
-    /// // The run discovers states as the junta race and the clocks unfold;
-    /// // `proto` shares the interner, so the census is visible here.
-    /// assert!(proto.states_discovered() > 10);
-    /// assert!(proto.states_discovered() <= proto.num_states());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn new(params: ApproximateParams) -> Self {
-        Self::with_capacity(params, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Create the dense protocol with an explicit state capacity (the
-    /// index-space size reported as `num_states()`; only sizes flat engine
-    /// buffers — see [`ppsim::interned`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `capacity >= u32::MAX` (dense indices
-    /// are 32-bit and `u32::MAX` is reserved; see
-    /// [`StateInterner::with_capacity`](ppsim::StateInterner::with_capacity)).
-    #[must_use]
-    pub fn with_capacity(params: ApproximateParams, capacity: usize) -> Self {
-        DenseApproximate {
-            inner: DenseComposition::new(*Approximate::new(params).composition(), capacity),
-            params,
-        }
-    }
-
-    /// The parameters this instance runs with.
-    #[must_use]
-    pub fn params(&self) -> &ApproximateParams {
-        &self.params
-    }
-
-    /// Decode a dense index into the full per-agent state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has not been assigned to any state yet.
-    #[must_use]
-    pub fn decode(&self, index: usize) -> ApproximateAgent {
-        self.inner.decode(index)
-    }
-
-    /// Encode a per-agent state as its dense index, interning it on first
-    /// appearance.
-    #[must_use]
-    pub fn encode(&self, agent: ApproximateAgent) -> usize {
-        self.inner.encode(agent)
-    }
-
-    /// How many distinct states have been discovered so far — the empirical
-    /// state-space size Theorem 1 bounds.
-    #[must_use]
-    pub fn states_discovered(&self) -> usize {
-        self.inner.states_discovered()
-    }
-}
-
-impl DenseProtocol for DenseApproximate {
-    type Output = Option<i32>;
-
-    fn num_states(&self) -> usize {
-        self.inner.num_states()
-    }
-
-    fn initial_state(&self) -> usize {
-        self.inner.initial_state()
-    }
-
-    fn transition(&self, initiator: usize, responder: usize) -> (usize, usize) {
-        self.inner.transition(initiator, responder)
-    }
-
-    fn output(&self, state: usize) -> Option<i32> {
-        self.inner.output(state)
-    }
-
-    fn name(&self) -> &'static str {
-        "dense-approximate"
-    }
-
-    fn invariants(&self) -> ppsim::ProtocolInvariants {
-        ppsim::ProtocolInvariants {
-            // Interned indices carry no fixed meaning across instances, so
-            // no count-indexed quantity is declarable; the structure lives
-            // in the composed stages and is exercised dynamically.
-            conserved: Vec::new(),
-            // The initiator consumes its firstTick flag and pushes the
-            // stage-3 broadcast, so δ is role-asymmetric.
-            role_symmetric: Some(false),
-        }
-    }
-
-    fn dynamic(&self) -> bool {
-        true
-    }
-
-    fn discovered_states(&self) -> Option<usize> {
-        Some(self.states_discovered())
-    }
-
-    fn agent_stint(
-        &self,
-        source: StintSource<'_>,
-    ) -> Option<Result<BoxedAgentStint<Option<i32>>, ppsim::SimError>> {
-        // Per-agent stints step native `SyncedAgent<ApproximateCore>` structs
-        // through the composition's codec — no interner probe per
-        // interaction (see `ppsim::stint`).
-        self.inner.agent_stint(source)
-    }
-
-    fn save_protocol_state(&self) -> Vec<u8> {
-        self.inner.save_protocol_state()
-    }
-
-    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), ppsim::SimError> {
-        self.inner.restore_protocol_state(bytes)
-    }
-}
-
-/// The typed agent-state codec of `Approximate`, delegated to the underlying
-/// [`DenseComposition`]: per-agent stints of the hybrid engine step native
-/// composition structs with the identical transition system and consult the
-/// interner only at migration boundaries.
-impl AgentCodec for DenseApproximate {
-    type Native = SyncComposition<ApproximateComponent>;
-
-    fn native(&self) -> Self::Native {
-        *self.inner.base()
-    }
-
-    fn decode_agent(&self, index: usize) -> ApproximateAgent {
-        self.inner.decode(index)
-    }
-
-    fn try_decode_agent(&self, index: usize) -> Option<ApproximateAgent> {
-        self.inner.try_decode_agent(index)
-    }
-
-    fn encode_agent(&self, state: &ApproximateAgent) -> usize {
-        self.inner.encode(*state)
+/// The composition [`Approximate::new`] builds from `params`, so that
+/// [`DenseApproximate::with_capacity`](DenseComposition::with_capacity)
+/// takes the parameters directly.
+impl From<ApproximateParams> for SyncComposition<ApproximateComponent> {
+    fn from(params: ApproximateParams) -> Self {
+        *Approximate::new(params).composition()
     }
 }
 
@@ -588,5 +452,42 @@ mod tests {
         let bytes = sim.save_state().to_bytes();
         assert_eq!(bytes.len(), 13_069);
         assert_eq!(crate::fnv1a(&bytes), 0xb185_e490_3fa8_b190);
+    }
+
+    /// The dense trajectory on the sequential engine at `n = 1000`, seed 7:
+    /// when every agent first outputs the same estimate, and the bytes of the
+    /// final snapshot.
+    #[test]
+    fn dense_sequential_trajectory_is_pinned() {
+        use ppsim::{Checkpointable, DenseSimulator, Engine};
+        let n = 1000usize;
+        let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
+        let mut sim = DenseSimulator::new(Engine::Sequential, proto, n, 7).unwrap();
+        let outcome = sim.run_until(
+            |s| matches!(s.output_stats().unanimous(), Some(Some(_))),
+            (20 * n) as u64,
+            80_000_000,
+        );
+        assert_eq!(outcome.interactions(), Some(9_160_000));
+        assert_eq!(sim.output_stats().unanimous(), Some(&Some(10)));
+        let bytes = sim.save_state().to_bytes();
+        assert_eq!(bytes.len(), 26_119);
+        assert_eq!(crate::fnv1a(&bytes), 0x9f1b_a6f1_c033_036a);
+    }
+
+    /// The dense trajectory on the hybrid engine at `n = 1000`, seed 7: its
+    /// switch points, the states it interned and the bytes of its snapshot
+    /// after 6.2·10⁶ interactions.
+    #[test]
+    fn dense_hybrid_trajectory_is_pinned() {
+        use ppsim::{Checkpointable, DenseSimulator, Engine};
+        let proto = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
+        let mut sim = DenseSimulator::new(Engine::Hybrid, proto.clone(), 1000, 7).unwrap();
+        sim.run(6_200_000);
+        assert_eq!(sim.switch_points(), [358_144, 1_432_064]);
+        assert_eq!(proto.states_discovered(), 17_671);
+        let bytes = sim.save_state().to_bytes();
+        assert_eq!(bytes.len(), 459_818);
+        assert_eq!(crate::fnv1a(&bytes), 0xd8be_1403_8997_60e7);
     }
 }

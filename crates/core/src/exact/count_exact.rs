@@ -16,8 +16,7 @@ use ppproto::composition::{
     DenseComposition, SyncComposition, SyncCtx, SyncedAgent, SyncedComponent,
 };
 use ppproto::fast_leader_election::{FastLeaderElection, FastLeaderState};
-use ppsim::stint::{AgentCodec, BoxedAgentStint, StintSource};
-use ppsim::{DenseProtocol, PersistState, Protocol, SnapshotReader};
+use ppsim::{PersistState, Protocol, SnapshotReader};
 
 use crate::params::CountExactParams;
 
@@ -243,12 +242,21 @@ pub fn all_counted(protocol: &CountExact, states: &[CountExactAgent], n: usize) 
         .all(|a| protocol.agent_output(a) == Some(n as u64))
 }
 
-/// Protocol `CountExact` on an interned dense state space, for the batched
-/// and sharded count-based engines.
+/// Protocol `CountExact` on an interned dense state space, for the
+/// count-based engines: the [`DenseComposition`] of the same
+/// [`SyncComposition`] value [`CountExact::new`] builds.
 ///
 /// This is an **exact encoding** of [`CountExact`]: every dense transition
-/// decodes the two agents, applies the identical composed interaction (the
-/// same [`SyncComposition`] value [`CountExact::new`] builds), and re-encodes.
+/// decodes the two agents, applies the identical composed interaction, and
+/// re-encodes.  Build it with `DenseCountExact::with_capacity(params,
+/// capacity)` ([`DenseComposition::with_capacity`], which takes the
+/// parameters through `From<CountExactParams>`).  The hybrid engine's
+/// refinement-leg stints step native [`CountExactAgent`] structs through the
+/// composition's [`AgentCodec`](ppsim::stint::AgentCodec) and consult the
+/// interner only at migration boundaries (the refinement leg at `n = 10⁵`
+/// measured 6.97 M interactions/s decoded against 3.15 M/s over interned
+/// indices; see the note in `BENCH_batched.json` and the module docs of
+/// [`staged`](crate::exact::staged)).
 ///
 /// # State-space accounting (the bound on `q`)
 ///
@@ -274,7 +282,22 @@ pub fn all_counted(protocol: &CountExact, states: &[CountExactAgent], n: usize) 
 ///
 /// Small populations (`n ≲ 3·10⁴`, any parameters) fit end to end in the
 /// dense form — the regime the equivalence tests pin at `n = 10⁴`.
-/// [`Self::states_discovered`] reports the realised census either way.
+/// [`DenseComposition::states_discovered`] reports the realised census
+/// either way.
+///
+/// # Capacity
+///
+/// [`CountExactParams::dense_capacity`] sizes the index space for a run of
+/// population `n`: 2²² for every `n ≤ 262 144`, `16n` above.  Stages 1–2
+/// stay narrow at any simulable size, and small populations fit end to end
+/// (≈ 1.6·10⁵ states for a converged `n = 10⁴` run).  The **refinement
+/// stage** at large `n` does not: its `Θ(n)` live loads mint new states
+/// nearly every interaction (> 4·10⁶ observed at `n = 10⁶` before the
+/// balancing transient ends) — run it per-agent via
+/// [`count_exact_dense_staged`](crate::count_exact_dense_staged), which is
+/// how experiment E19 executes Theorem 2 at scale.  Flat engine buffers
+/// cost ~17 bytes per slot (≈ 70 MB at 2²²); small-`n` studies can pass
+/// less.
 ///
 /// # Examples
 ///
@@ -284,7 +307,10 @@ pub fn all_counted(protocol: &CountExact, states: &[CountExactAgent], n: usize) 
 ///
 /// # fn main() -> Result<(), ppsim::SimError> {
 /// let n = 10_000;
-/// let proto = DenseCountExact::new(CountExactParams::default());
+/// let proto = DenseCountExact::with_capacity(
+///     CountExactParams::default(),
+///     CountExactParams::dense_capacity(n),
+/// );
 /// let mut sim = DenseSimulator::new(Engine::Auto, proto, n, 3)?;
 /// let outcome = sim.run_until(
 ///     |s| s.output_stats().unanimous() == Some(&Some(n as u64)),
@@ -295,187 +321,36 @@ pub fn all_counted(protocol: &CountExact, states: &[CountExactAgent], n: usize) 
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct DenseCountExact {
-    inner: DenseComposition<CountExactComponent>,
-    params: CountExactParams,
-}
+///
+/// States are interned as a run discovers them, and decoding is total on
+/// every discovered index:
+///
+/// ```rust
+/// use popcount::{CountExactParams, DenseCountExact};
+/// use ppsim::{BatchedSimulator, DenseProtocol};
+///
+/// # fn main() -> Result<(), ppsim::SimError> {
+/// let n = 10_000;
+/// let proto = DenseCountExact::with_capacity(
+///     CountExactParams::dense_at_scale(n),
+///     CountExactParams::dense_capacity(n),
+/// );
+/// let mut sim = BatchedSimulator::new(proto.clone(), n, 3)?;
+/// sim.run(50_000);
+/// let agent = proto.decode(0);
+/// assert_eq!(proto.encode(agent), 0);
+/// assert!(proto.states_discovered() <= proto.num_states());
+/// # Ok(())
+/// # }
+/// ```
+pub type DenseCountExact = DenseComposition<CountExactComponent>;
 
-impl DenseCountExact {
-    /// Default interner capacity (2²²).  Stages 1–2 stay narrow at any
-    /// simulable size (≈ 7·10⁴ distinct states over a full `n = 10⁶`
-    /// stage-1–2 window with [`CountExactParams::dense_at_scale`]), and small
-    /// populations fit end to end (≈ 1.6·10⁵ for a converged `n = 10⁴` run).
-    /// The **refinement stage** at large `n` does not: its `Θ(n)` live loads
-    /// mint new states nearly every interaction (> 4·10⁶ observed at
-    /// `n = 10⁶` before the balancing transient ends) — run it per-agent via
-    /// [`count_exact_dense_staged`](crate::count_exact_dense_staged), which
-    /// is how experiment E19 executes Theorem 2 at scale.  Flat engine
-    /// buffers cost ~17 bytes per slot (≈ 70 MB at this capacity); shrink it
-    /// for small-`n` studies via [`Self::with_capacity`].
-    pub const DEFAULT_CAPACITY: usize = 1 << 22;
-
-    /// Create the dense protocol with the default state capacity.
-    ///
-    /// # Examples
-    ///
-    /// ```rust
-    /// use popcount::{CountExactParams, DenseCountExact};
-    /// use ppsim::{BatchedSimulator, DenseProtocol};
-    ///
-    /// # fn main() -> Result<(), ppsim::SimError> {
-    /// let n = 10_000;
-    /// let proto = DenseCountExact::new(CountExactParams::dense_at_scale(n));
-    /// let mut sim = BatchedSimulator::new(proto.clone(), n, 3)?;
-    /// sim.run(50_000);
-    /// // States are interned as the run discovers them; decode is total on
-    /// // every discovered index.
-    /// let agent = proto.decode(0);
-    /// assert_eq!(proto.encode(agent), 0);
-    /// assert!(proto.states_discovered() <= proto.num_states());
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn new(params: CountExactParams) -> Self {
-        Self::with_capacity(params, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Create the dense protocol with an explicit state capacity (the
-    /// index-space size reported as `num_states()`; only sizes flat engine
-    /// buffers — see [`ppsim::interned`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `capacity >= u32::MAX` (dense indices
-    /// are 32-bit and `u32::MAX` is reserved; see
-    /// [`StateInterner::with_capacity`](ppsim::StateInterner::with_capacity)).
-    #[must_use]
-    pub fn with_capacity(params: CountExactParams, capacity: usize) -> Self {
-        DenseCountExact {
-            inner: DenseComposition::new(*CountExact::new(params).composition(), capacity),
-            params,
-        }
-    }
-
-    /// The parameters this instance runs with.
-    #[must_use]
-    pub fn params(&self) -> &CountExactParams {
-        &self.params
-    }
-
-    /// Decode a dense index into the full per-agent state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has not been assigned to any state yet.
-    #[must_use]
-    pub fn decode(&self, index: usize) -> CountExactAgent {
-        self.inner.decode(index)
-    }
-
-    /// Encode a per-agent state as its dense index, interning it on first
-    /// appearance.
-    #[must_use]
-    pub fn encode(&self, agent: CountExactAgent) -> usize {
-        self.inner.encode(agent)
-    }
-
-    /// How many distinct states have been discovered so far — the empirical
-    /// state-space size Theorem 2 bounds by `Õ(n)`.
-    #[must_use]
-    pub fn states_discovered(&self) -> usize {
-        self.inner.states_discovered()
-    }
-}
-
-impl DenseProtocol for DenseCountExact {
-    type Output = Option<u64>;
-
-    fn num_states(&self) -> usize {
-        self.inner.num_states()
-    }
-
-    fn initial_state(&self) -> usize {
-        self.inner.initial_state()
-    }
-
-    fn transition(&self, initiator: usize, responder: usize) -> (usize, usize) {
-        self.inner.transition(initiator, responder)
-    }
-
-    fn output(&self, state: usize) -> Option<u64> {
-        self.inner.output(state)
-    }
-
-    fn name(&self) -> &'static str {
-        "dense-count-exact"
-    }
-
-    fn invariants(&self) -> ppsim::ProtocolInvariants {
-        ppsim::ProtocolInvariants {
-            // Interned indices carry no fixed meaning across instances, so
-            // no count-indexed quantity is declarable; the structure lives
-            // in the composed stages and is exercised dynamically.
-            conserved: Vec::new(),
-            // The initiator consumes its firstTick flag and drives the
-            // token split, so δ is role-asymmetric.
-            role_symmetric: Some(false),
-        }
-    }
-
-    fn dynamic(&self) -> bool {
-        true
-    }
-
-    fn discovered_states(&self) -> Option<usize> {
-        Some(self.states_discovered())
-    }
-
-    fn agent_stint(
-        &self,
-        source: StintSource<'_>,
-    ) -> Option<Result<BoxedAgentStint<Option<u64>>, ppsim::SimError>> {
-        // The refinement stage runs here: native `SyncedAgent<CountExactCore>`
-        // structs stepped by the monomorphic composed transition, interner
-        // traffic confined to the migration boundaries (see `ppsim::stint`) —
-        // the Θ(n) transient loads of Lemma 11 never flood the index space.
-        self.inner.agent_stint(source)
-    }
-
-    fn save_protocol_state(&self) -> Vec<u8> {
-        self.inner.save_protocol_state()
-    }
-
-    fn restore_protocol_state(&self, bytes: &[u8]) -> Result<(), ppsim::SimError> {
-        self.inner.restore_protocol_state(bytes)
-    }
-}
-
-/// The typed agent-state codec of `CountExact`, delegated to the underlying
-/// [`DenseComposition`]: the hybrid engine's refinement-leg stints step
-/// native composition structs and consult the interner only at migration
-/// boundaries (the refinement leg at `n = 10⁵` measured 6.97 M
-/// interactions/s decoded against 3.15 M/s over interned indices; see the
-/// note in `BENCH_batched.json` and the module docs of
-/// [`staged`](crate::exact::staged)).
-impl AgentCodec for DenseCountExact {
-    type Native = SyncComposition<CountExactComponent>;
-
-    fn native(&self) -> Self::Native {
-        *self.inner.base()
-    }
-
-    fn decode_agent(&self, index: usize) -> CountExactAgent {
-        self.inner.decode(index)
-    }
-
-    fn try_decode_agent(&self, index: usize) -> Option<CountExactAgent> {
-        self.inner.try_decode_agent(index)
-    }
-
-    fn encode_agent(&self, state: &CountExactAgent) -> usize {
-        self.inner.encode(*state)
+/// The composition [`CountExact::new`] builds from `params`, so that
+/// [`DenseCountExact::with_capacity`](DenseComposition::with_capacity)
+/// takes the parameters directly.
+impl From<CountExactParams> for SyncComposition<CountExactComponent> {
+    fn from(params: CountExactParams) -> Self {
+        *CountExact::new(params).composition()
     }
 }
 

@@ -68,7 +68,10 @@
 //! transition systems on the count-based engines
 //! ([`ppsim::BatchedSimulator`], [`ppsim::ShardedBatchedSimulator`]) by
 //! interning each `(sync, stages)` struct into a dense index on first
-//! appearance ([`ppsim::StateInterner`]).  How the realised index space `q`
+//! appearance ([`ppsim::StateInterner`]).  Neither is a type of its own:
+//! both are aliases of [`ppproto::DenseComposition`], the one dense form of
+//! every composed protocol, built from the protocol's parameters with
+//! `with_capacity(params, capacity)`.  How the realised index space `q`
 //! grows with `n` is exactly the paper's state-space story:
 //!
 //! * **`DenseApproximate`** — Theorem 1 bounds the protocol by

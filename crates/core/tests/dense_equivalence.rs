@@ -81,7 +81,7 @@ fn dense_approximate_is_a_bisimulation_of_the_sequential_protocol() {
     // agent by agent.
     let n = 10_000usize;
     let params = ApproximateParams::default();
-    let dense = DenseApproximate::new(params);
+    let dense = DenseApproximate::with_capacity(params, 1 << 20);
     let mut plain = Simulator::new(Approximate::new(params), n, 0xA11CE).unwrap();
     let mut interned = Simulator::new(IndexCodec(dense.clone()), n, 0xA11CE).unwrap();
     for step in 0..8 {
@@ -102,7 +102,7 @@ fn dense_approximate_is_a_bisimulation_of_the_sequential_protocol() {
 fn dense_count_exact_is_a_bisimulation_of_the_sequential_protocol() {
     let n = 10_000usize;
     let params = CountExactParams::default();
-    let dense = DenseCountExact::new(params);
+    let dense = DenseCountExact::with_capacity(params, CountExactParams::dense_capacity(n));
     let mut plain = Simulator::new(CountExact::new(params), n, 0xC0DE).unwrap();
     let mut interned = Simulator::new(IndexCodec(dense.clone()), n, 0xC0DE).unwrap();
     for step in 0..8 {
@@ -124,7 +124,7 @@ fn dense_count_exact_is_a_bisimulation_of_the_sequential_protocol() {
 /// schedule distortion yet far cheaper than the full broadcast (the lockstep
 /// bisimulation tests cover stages 2–3 transition by transition).
 fn approximate_time_batched(n: usize, seed: u64) -> u64 {
-    let dense = DenseApproximate::new(quick_approximate_params());
+    let dense = DenseApproximate::with_capacity(quick_approximate_params(), 1 << 20);
     let mut sim = BatchedSimulator::new(dense, n, seed).unwrap();
     sim.run_until(
         |s| {
@@ -156,7 +156,10 @@ fn approximate_time_sequential(n: usize, seed: u64) -> u64 {
 /// parameter choice, unlike exact-count unanimity which needs full-length
 /// phases.
 fn count_exact_apx_time_batched(n: usize, seed: u64) -> u64 {
-    let dense = DenseCountExact::new(quick_count_exact_params());
+    let dense = DenseCountExact::with_capacity(
+        quick_count_exact_params(),
+        CountExactParams::dense_capacity(n),
+    );
     let mut sim = BatchedSimulator::new(dense, n, seed).unwrap();
     sim.run_until(
         |s| {
@@ -242,7 +245,10 @@ fn hybrid_round_trip_preserves_the_count_exact_configuration_at_ten_thousand() {
     // states — the process is Markov in it), outputs included, and the run
     // must keep executing cleanly afterwards.
     let n = 10_000usize;
-    let proto = DenseCountExact::new(quick_count_exact_params());
+    let proto = DenseCountExact::with_capacity(
+        quick_count_exact_params(),
+        CountExactParams::dense_capacity(n),
+    );
     let mut sim = HybridSimulator::new(proto, n, 0xB15).unwrap();
     sim.run(200_000);
     let counts = sim.counts();
@@ -283,7 +289,10 @@ fn hybrid_phase_counters_match_a_lockstep_budget() {
     // counters agree with the driven budget exactly — no partial block at a
     // switch is counted twice or dropped.
     let n = 4_000usize;
-    let proto = DenseCountExact::new(quick_count_exact_params());
+    let proto = DenseCountExact::with_capacity(
+        quick_count_exact_params(),
+        CountExactParams::dense_capacity(n),
+    );
     let mut sim = HybridSimulator::new(proto, n, 0xACC7).unwrap();
     let mut reference =
         Simulator::new(CountExact::new(quick_count_exact_params()), n, 0xACC7).unwrap();
@@ -428,7 +437,7 @@ proptest! {
     /// re-encode to the index the engine holds.
     #[test]
     fn dense_approximate_indices_roundtrip(seed in any::<u64>(), steps in 1u64..60_000) {
-        let dense = DenseApproximate::new(ApproximateParams::default());
+        let dense = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
         let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         for &idx in sim.states() {
@@ -446,7 +455,7 @@ proptest! {
     /// The same round-trip law for the dense CountExact.
     #[test]
     fn dense_count_exact_indices_roundtrip(seed in any::<u64>(), steps in 1u64..60_000) {
-        let dense = DenseCountExact::new(CountExactParams::default());
+        let dense = DenseCountExact::with_capacity(CountExactParams::default(), 1 << 22);
         let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         for &idx in sim.states() {
@@ -471,7 +480,7 @@ proptest! {
         pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 32..33),
     ) {
         use ppsim::AgentCodec;
-        let dense = DenseApproximate::new(ApproximateParams::default());
+        let dense = DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
         let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         let discovered = dense.states_discovered();
@@ -499,7 +508,7 @@ proptest! {
         pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 32..33),
     ) {
         use ppsim::AgentCodec;
-        let dense = DenseCountExact::new(CountExactParams::default());
+        let dense = DenseCountExact::with_capacity(CountExactParams::default(), 1 << 22);
         let mut sim = Simulator::new(IndexCodec(dense.clone()), 512, seed).unwrap();
         sim.run(steps);
         let discovered = dense.states_discovered();
@@ -530,7 +539,10 @@ proptest! {
         warmup in 10_000u64..100_000,
     ) {
         let n = 2_000usize;
-        let proto = DenseCountExact::new(quick_count_exact_params());
+        let proto = DenseCountExact::with_capacity(
+            quick_count_exact_params(),
+            CountExactParams::dense_capacity(n),
+        );
         let mut warm = HybridSimulator::new(proto.clone(), n, seed).unwrap();
         warm.run(warmup);
         let counts = warm.counts();

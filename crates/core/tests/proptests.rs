@@ -169,9 +169,12 @@ proptest! {
         prop_assert!(verdict.bit_identical());
     }
 
-    /// The same property for `DenseCountExact` on the batched engine: the
-    /// interned state space (rebuilt from the snapshot's interner contents)
-    /// must reproduce the same dense indices in the same discovery order.
+    /// The same property for `DenseCountExact` and `DenseApproximate` on the
+    /// batched engine: the interned state space (rebuilt from the snapshot's
+    /// interner contents) must reproduce the same dense indices in the same
+    /// discovery order.  Each engine is built over a protocol value of its
+    /// own, so the resumed run's interner holds only what the snapshot
+    /// restored (clones of one value would share the reference run's).
     #[test]
     fn dense_count_exact_resumes_bit_identically(
         n in 8usize..120,
@@ -179,9 +182,21 @@ proptest! {
         kill_at in 0u64..20_000,
         rest in 1u64..20_000,
     ) {
-        let proto = popcount::DenseCountExact::new(CountExactParams::default());
         let verdict = ppsim::faultsim::kill_and_resume(
-            || ppsim::BatchedSimulator::new(proto.clone(), n, seed),
+            || {
+                let proto = popcount::DenseCountExact::with_capacity(CountExactParams::default(), 1 << 22);
+                ppsim::BatchedSimulator::new(proto, n, seed)
+            },
+            |s, b| s.run(b),
+            &[kill_at, rest],
+            1,
+        ).unwrap();
+        prop_assert!(verdict.bit_identical());
+        let verdict = ppsim::faultsim::kill_and_resume(
+            || {
+                let proto = popcount::DenseApproximate::with_capacity(ApproximateParams::default(), 1 << 20);
+                ppsim::BatchedSimulator::new(proto, n, seed)
+            },
             |s, b| s.run(b),
             &[kill_at, rest],
             1,

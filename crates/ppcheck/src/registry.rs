@@ -104,10 +104,13 @@ pub fn standard_registry() -> Vec<RegisteredProtocol> {
             ppproto::DenseSyncClock::new(4, 3, 3)
         }),
         RegisteredProtocol::with_codec("dense-approximate", dynamic_opts(), || {
-            popcount::DenseApproximate::new(popcount::ApproximateParams::default())
+            popcount::DenseApproximate::with_capacity(
+                popcount::ApproximateParams::default(),
+                1 << 20,
+            )
         }),
         RegisteredProtocol::with_codec("dense-count-exact", dynamic_opts(), || {
-            popcount::DenseCountExact::new(popcount::CountExactParams::default())
+            popcount::DenseCountExact::with_capacity(popcount::CountExactParams::default(), 1 << 22)
         }),
         RegisteredProtocol::with_codec("approximate-backup", opts(3), || {
             popcount::DenseApproximateBackup::with_max_k(6)

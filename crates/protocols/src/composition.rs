@@ -37,6 +37,11 @@
 //! dense indices on first appearance ([`ppsim::StateInterner`]) — an exact
 //! bisimulation of the sequential protocol, because the transition applied to
 //! the interned structs is the identical [`SyncComposition::interact_pair`].
+//! It is the one dense form of every composed protocol: `popcount`'s
+//! `DenseApproximate` and `DenseCountExact` are aliases of it, not types of
+//! their own.  Every composition is role-asymmetric by construction —
+//! `interact_pair` consumes the initiator's `firstTick` — so
+//! [`DenseComposition`] declares that invariant once for all of them.
 //!
 //! Why interning rather than a fixed product encoding (as
 //! [`DenseSyncClock`](crate::DenseSyncClock) uses for the standalone clock):
@@ -54,7 +59,10 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 
 use ppsim::stint::{AgentCodec, BoxedAgentStint, DecodedStint, StintSource};
-use ppsim::{DenseProtocol, PersistState, Protocol, SimError, SnapshotReader, StateInterner};
+use ppsim::{
+    DenseProtocol, PersistState, Protocol, ProtocolInvariants, SimError, SnapshotReader,
+    StateInterner,
+};
 
 use crate::phase_clock::{sync_interact, PhaseClock, SyncState};
 
@@ -275,12 +283,13 @@ pub struct DenseComposition<C: SyncedComponent> {
 
 impl<C: SyncedComponent + Clone> DenseComposition<C> {
     /// Lift a composed protocol onto an interned dense state space with room
-    /// for `capacity` distinct states.
+    /// for `capacity` distinct states.  `base` is the composition itself or
+    /// anything that converts into it, such as a protocol's parameters.
     ///
     /// `capacity` only sizes the engines' flat per-state buffers (a few bytes
-    /// per slot); the distinct states actually interned are the ones the run
-    /// visits.  A run that discovers more than `capacity` states panics with
-    /// a message pointing here.
+    /// per slot, reported as `num_states()`); the distinct states actually
+    /// interned are the ones the run visits.  A run that discovers more than
+    /// `capacity` states panics with a message pointing here.
     ///
     /// # Panics
     ///
@@ -288,7 +297,8 @@ impl<C: SyncedComponent + Clone> DenseComposition<C> {
     /// are 32-bit and `u32::MAX` is reserved; see
     /// [`StateInterner::with_capacity`](ppsim::StateInterner::with_capacity)).
     #[must_use]
-    pub fn new(base: SyncComposition<C>, capacity: usize) -> Self {
+    pub fn with_capacity(base: impl Into<SyncComposition<C>>, capacity: usize) -> Self {
+        let base = base.into();
         let interner = Arc::new(StateInterner::with_capacity(capacity));
         let q0 = interner.intern(SyncedAgent {
             sync: SyncState::new(),
@@ -296,12 +306,6 @@ impl<C: SyncedComponent + Clone> DenseComposition<C> {
         });
         debug_assert_eq!(q0, 0, "the initial state takes index 0");
         DenseComposition { base, interner }
-    }
-
-    /// The underlying sequential composition.
-    #[must_use]
-    pub fn base(&self) -> &SyncComposition<C> {
-        &self.base
     }
 
     /// Decode a dense index into the full per-agent state.
@@ -332,12 +336,6 @@ impl<C: SyncedComponent + Clone> DenseComposition<C> {
     pub fn states_discovered(&self) -> usize {
         self.interner.len()
     }
-
-    /// The index-space capacity this protocol reports as `num_states()`.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.interner.capacity()
-    }
 }
 
 impl<C: SyncedComponent + Clone + Send + Sync + 'static> DenseProtocol for DenseComposition<C> {
@@ -364,6 +362,18 @@ impl<C: SyncedComponent + Clone + Send + Sync + 'static> DenseProtocol for Dense
 
     fn name(&self) -> &'static str {
         self.base.component.name()
+    }
+
+    fn invariants(&self) -> ProtocolInvariants {
+        ProtocolInvariants {
+            // Interned indices carry no fixed meaning across instances, so
+            // no count-indexed quantity is declarable; the structure lives
+            // in the component and is exercised dynamically.
+            conserved: Vec::new(),
+            // `interact_pair` consumes the initiator's firstTick flag, so δ
+            // is role-asymmetric whatever the component.
+            role_symmetric: Some(false),
+        }
     }
 
     fn dynamic(&self) -> bool {
@@ -467,7 +477,7 @@ mod tests {
         // same agent pairs for both, and the transitions are deterministic.
         let n = 400usize;
         let base = SyncComposition::new(8, Odometer);
-        let dense = DenseComposition::new(base, 1 << 16);
+        let dense = DenseComposition::with_capacity(base, 1 << 16);
 
         let mut plain = Simulator::new(base, n, 99).unwrap();
         let mut interned = Simulator::new(ppsim::IndexCodec(dense.clone()), n, 99).unwrap();
@@ -484,7 +494,7 @@ mod tests {
     #[test]
     fn dense_composition_runs_on_the_batched_engine() {
         let base = SyncComposition::new(8, Odometer);
-        let dense = DenseComposition::new(base, 1 << 16);
+        let dense = DenseComposition::with_capacity(base, 1 << 16);
         let mut sim = BatchedSimulator::new(dense.clone(), 5_000, 3).unwrap();
         // The odometer advances once phases start ticking.
         let outcome = sim.run_until(
@@ -494,7 +504,7 @@ mod tests {
         );
         assert!(outcome.converged(), "phases must keep ticking");
         assert_eq!(sim.counts().iter().sum::<u64>(), 5_000);
-        assert!(dense.states_discovered() <= dense.capacity());
+        assert!(dense.states_discovered() <= dense.num_states());
     }
 
     #[test]
@@ -518,7 +528,7 @@ mod tests {
     #[test]
     fn codec_round_trips_and_bisimulates_the_interned_delta_path() {
         // Populate the interner with genuinely reachable states.
-        let dense = DenseComposition::new(SyncComposition::new(8, Odometer), 1 << 16);
+        let dense = DenseComposition::with_capacity(SyncComposition::new(8, Odometer), 1 << 16);
         let mut sim = Simulator::new(ppsim::IndexCodec(dense.clone()), 300, 5).unwrap();
         sim.run(30_000);
         let discovered = dense.states_discovered();
@@ -549,7 +559,7 @@ mod tests {
 
     #[test]
     fn composed_protocols_hand_the_hybrid_engine_a_decoded_stint() {
-        let dense = DenseComposition::new(SyncComposition::new(8, Odometer), 1 << 16);
+        let dense = DenseComposition::with_capacity(SyncComposition::new(8, Odometer), 1 << 16);
         let counts_probe = {
             // Reach a non-trivial configuration first.
             let mut sim = BatchedSimulator::new(dense.clone(), 4_000, 3).unwrap();
@@ -580,7 +590,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_index_space() {
-        let dense = DenseComposition::new(SyncComposition::new(8, Odometer), 64);
+        let dense = DenseComposition::with_capacity(SyncComposition::new(8, Odometer), 64);
         let clone = dense.clone();
         let s = SyncedAgent {
             sync: SyncState::new(),
